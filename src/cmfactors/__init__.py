@@ -25,6 +25,7 @@ from .frobenius import (
     classify,
     dp_ep,
     frobenius_at,
+    frobenius_by_sampling,
     validate_curve,
 )
 from .oracle import count_points, enumerate_points, group_structure

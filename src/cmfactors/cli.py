@@ -7,7 +7,8 @@ Subcommands:
     aux       schur / wintner / bt / trivlem diagnostics
 
 Exit codes: 0 success, 1 failed check or mismatch, 2 bad arguments,
-3 ambiguous Frobenius disambiguation (with the prime reported).
+3 ambiguous Frobenius disambiguation (with the prime reported; only the
+sampling path used for models without a residue rule can raise it).
 """
 from __future__ import annotations
 
@@ -93,7 +94,13 @@ def cmd_scan(args) -> int:
     curve = _resolve_curve(args)
     if args.xmax < 2:
         raise SystemExit2("--xmax must be at least 2")
-    checkpoints = [int(t) for t in args.checkpoints.split(",")] if args.checkpoints else []
+    try:
+        checkpoints = [int(t) for t in args.checkpoints.split(",")] if args.checkpoints else []
+    except ValueError:
+        raise SystemExit2(f"--checkpoints expects comma-separated integers, got {args.checkpoints!r}")
+    outside = [x for x in checkpoints if not 2 <= x <= args.xmax]
+    if outside:
+        raise SystemExit2(f"checkpoint {outside[0]} lies outside [2, --xmax {args.xmax}]")
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         result = scan(
@@ -125,8 +132,8 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     curve = _resolve_curve(args)
-    if args.pmax > ENUMERATION_BOUND:
-        raise SystemExit2(f"--pmax is capped at {ENUMERATION_BOUND}")
+    if not 2 <= args.pmax <= ENUMERATION_BOUND:
+        raise SystemExit2(f"--pmax must lie in [2, {ENUMERATION_BOUND}]")
     mismatches = []
     checked = 0
     for p in primes_upto(args.pmax):
@@ -155,6 +162,8 @@ def cmd_verify(args) -> int:
 
 def cmd_identity(args) -> int:
     curve = _resolve_curve(args)
+    if args.x < 2:
+        raise SystemExit2("--x must be at least 2")
     seed = args.seed if args.seed is not None else _default_seed()
     lhs, rhs, equal = stats.decomposition_check(curve, args.x, seed=seed)
     print(f"lhs={lhs} rhs={rhs} equal={equal}")
@@ -172,7 +181,10 @@ def _parse_pair(text: str, od) -> QuadInt:
 
 def cmd_aux(args) -> int:
     if args.aux_command == "schur":
-        val = stats.schur_sum(args.t)
+        try:
+            val = stats.schur_sum(args.t)
+        except ValueError as e:
+            raise SystemExit2(f"--t: {e}")
         ratio = val / args.t
         if isinstance(val, Fraction):
             print(f"sum={val} sum/t={float(ratio):.6f}")
@@ -180,7 +192,10 @@ def cmd_aux(args) -> int:
             print(f"sum={val:.6f} sum/t={ratio:.6f}")
         return 0
     if args.aux_command == "wintner":
-        s = stats.wintner_sum(args.z)
+        try:
+            s = stats.wintner_sum(args.z)
+        except ValueError as e:
+            raise SystemExit2(f"--z: {e}")
         if isinstance(s, Fraction):
             print(f"sum={s}")
         else:

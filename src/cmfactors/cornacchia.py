@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 
-from .quadorder import OrderDesc, QuadInt, conj, kronecker, norm, order, units
+from .quadorder import OrderDesc, QuadInt, kronecker, norm, order, unit_orbit
+
+# perfbench/tracing.py times these by rebinding them in this module.
+from .quadorder import conj, units  # noqa: F401
 
 SPLIT = "split"
 INERT = "inert"
@@ -115,19 +118,17 @@ def _solve_maximal(p: int, g: int) -> tuple[int, int] | None:
     return None
 
 
-def _canonicalize(x: QuadInt) -> QuadInt:
-    """Deterministic representative of the unit-conjugation orbit of x.
+def _canonicalize(a: int, b: int, order_desc: OrderDesc) -> tuple[int, int]:
+    """Deterministic representative of the unit-conjugation orbit of a + b*beta.
 
     Prefers the open positive quadrant (a > 0, b > 0) when the orbit meets
     it, then takes the lexicographically largest coordinate pair.
     """
-    candidates = []
-    for y in (x, conj(x)):
-        for u in units(x.order):
-            z = u * y
-            candidates.append(z)
-    best = max(candidates, key=lambda z: (z.a > 0 and z.b > 0, z.a, z.b))
-    return best
+    conj_a = a + b * order_desc.beta_trace
+    return max(
+        unit_orbit(a, b, order_desc) + unit_orbit(conj_a, -b, order_desc),
+        key=lambda z: (z[0] > 0 and z[1] > 0, z[0], z[1]),
+    )
 
 
 def solve_norm(p: int, order_desc: OrderDesc) -> QuadInt | None:
@@ -149,21 +150,18 @@ def solve_norm(p: int, order_desc: OrderDesc) -> QuadInt | None:
     if sol is None:
         raise ArithmeticError(f"Cornacchia descent failed for split p={p}, g={g}")
     a, b = sol
-    maximal = order(g, 1)
-    x = QuadInt(a, b, maximal)
-    if norm(x) != p:
-        raise ArithmeticError(f"descent returned a non-solution for p={p}, g={g}")
     if f > 1:
         # Steer into the suborder: some unit multiple has f | b.  This always
         # succeeds for the supported conductors and split p coprime to f.
-        for u in units(maximal):
-            y = u * x
-            if y.b % f == 0:
-                x = y
+        for a, b in unit_orbit(a, b, order(g, 1)):
+            if b % f == 0:
                 break
         else:
             raise ArithmeticError(
                 f"no associate of norm {p} lies in the conductor-{f} order"
             )
-        x = QuadInt(x.a, x.b // f, order_desc)
-    return _canonicalize(x)
+        b //= f
+    x = QuadInt(*_canonicalize(a, b, order_desc), order_desc)
+    if norm(x) != p:
+        raise ArithmeticError(f"descent returned a non-solution for p={p}, g={g}")
+    return x

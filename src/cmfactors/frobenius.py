@@ -2,20 +2,27 @@
 
 For a good ordinary prime, the Frobenius element pi_p has norm p; the group
 order is Nm(pi_p - 1) and the first invariant factor is the content of
-pi_p - 1.  Cornacchia only pins pi_p down to a unit multiple, so the right
-candidate is selected by testing candidate orders and exponents against
-random points.  Supersingular primes need no group work at all: d_p <= 2,
-with d_p = 2 exactly when the division cubic splits.
+pi_p - 1.  Cornacchia only pins pi_p down to a unit multiple.  For the
+table's models a residue rule (see frobrules) picks the unit; for any other
+model the candidates' orders and exponents are tested against random
+points, each prime seeding its own generator, so values never depend on a
+seed.  Supersingular primes need no group work at all: d_p <= 2, with
+d_p = 2 exactly when the division cubic splits.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .cornacchia import SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
+from .frobrules import rule_for
 from .oracle import count_points, group_structure
-from .quadorder import QuadInt, conj, content, trace, units
+from .quadorder import QuadInt, content, trace, units
+
+# perfbench/tracing.py times this by rebinding it in this module.
+from .quadorder import conj  # noqa: F401
 
 BAD = "bad"
 ORDINARY = "ord"
@@ -63,15 +70,36 @@ def _default_rng(p: int) -> random.Random:
     return random.Random(f"cmfactors:{p}")
 
 
-def frobenius_at(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, int]:
+def frobenius_at(p: int, curve: CmCurve) -> tuple[QuadInt, int]:
     """The Frobenius element (up to conjugation) and N = #E(F_p).
 
-    Candidates are the unit multiples of a norm-p element; each claims a
-    group order N_u = p + 1 - Tr(u pi0) and, via the content of u pi0 - 1,
-    a full structure (d_u, e_u).  Random points kill wrong claims: first by
-    the cheap order test (p+1)P = t_u P, then, among survivors, by the
-    claimed exponent e_u P = infinity.  If sampling stalls, an exact point
-    count settles it; only an impossible mismatch raises.
+    The packaged residue rule of the curve's model picks the unit multiple
+    of Cornacchia's pi0; a model without a rule goes to frobenius_by_sampling.
+    """
+    rule = rule_for(curve)
+    if rule is None:
+        return frobenius_by_sampling(p, curve)
+    od = curve.order
+    pi0 = solve_norm(p, od)
+    if pi0 is None:
+        raise ValueError(f"p={p} is not ordinary for {curve.label}")
+    a, b = rule.select(p, pi0.a, pi0.b)
+    pi = pi0 if (a, b) == (pi0.a, pi0.b) else QuadInt(a, b, od)
+    return pi, p + 1 - 2 * a - b * od.beta_trace
+
+
+def frobenius_by_sampling(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, int]:
+    """frobenius_at by testing each unit multiple against random points.
+
+    The exact slow path: it needs no rule, so it serves models outside the
+    table and validates the rules.  Candidates are the unit multiples of a
+    norm-p element; each claims a group order N_u = p + 1 - Tr(u pi0) and,
+    via the content of u pi0 - 1, a full structure (d_u, e_u).  Random
+    points kill wrong claims: first by the cheap order test
+    (p+1)P = t_u P, then, among survivors, by the claimed exponent
+    e_u P = infinity.  If sampling stalls, an exact point count settles it;
+    only an impossible mismatch raises.  Without `rng`, the generator is
+    seeded by p alone.
     """
     if rng is None:
         rng = _default_rng(p)
@@ -118,7 +146,7 @@ def frobenius_at(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, int]:
     raise AmbiguousFrobenius(p)
 
 
-def dp_ep(p: int, curve: CmCurve, rng=None) -> PrimeRecord:
+def dp_ep(p: int, curve: CmCurve) -> PrimeRecord:
     """The full per-prime record: reduction type, a_p, pi_p, N, d_p, e_p."""
     kind = classify(p, curve)
     if kind == BAD:
@@ -128,19 +156,15 @@ def dp_ep(p: int, curve: CmCurve, rng=None) -> PrimeRecord:
         n = d * e
         return PrimeRecord(p, SMALL, p + 1 - n, 0, 0, n, d, e)
     if kind == ORDINARY:
-        pi, n = frobenius_at(p, curve, rng)
-        d = content(pi - 1)
-        return PrimeRecord(p, ORDINARY, trace(pi), pi.a, pi.b, n, d, n // d)
+        pi, n = frobenius_at(p, curve)
+        a, b = pi.a, pi.b
+        d = math.gcd(a - 1, b)  # content(pi - 1)
+        return PrimeRecord(p, ORDINARY, p + 1 - n, a, b, n, d, n // d)
     # Supersingular: N = p + 1 and d_p <= 2; full 2-torsion needs 4 | p + 1,
     # so the cubic can only split when p = 3 (mod 4).
     n = p + 1
     d = 2 if p % 4 == 3 and cubic_splits(curve, p) else 1
     return PrimeRecord(p, SUPERSINGULAR, 0, 0, 0, n, d, n // d)
-
-
-def conjugation_invariant(pi: QuadInt) -> bool:
-    """content(pi - 1) is blind to the conjugation ambiguity of pi."""
-    return content(pi - 1) == content(conj(pi) - 1)
 
 
 def validate_curve(curve: CmCurve, pmax: int = 1000) -> list[tuple[int, int, int]]:

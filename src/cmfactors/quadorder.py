@@ -323,13 +323,35 @@ def rep_count_bruteforce(m: int, order: OrderDesc) -> int:
     return count
 
 
-def units(order: OrderDesc) -> list[QuadInt]:
-    """The w roots of unity of the order, closed under negation."""
-    if order.w == 4:
-        coords = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    elif order.w == 6:
-        # Powers of omega: 1, w, w-1, -1, -w, 1-w.
-        coords = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
-    else:
-        coords = [(1, 0), (-1, 0)]
-    return [QuadInt(a, b, order) for a, b in coords]
+_UNIT_COORDS = {
+    4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    # Powers of omega: 1, w, w-1, -1, -w, 1-w.
+    6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+    2: ((1, 0), (-1, 0)),
+}
+_UNITS: dict[OrderDesc, tuple[QuadInt, ...]] = {}
+
+
+def units(order: OrderDesc) -> tuple[QuadInt, ...]:
+    """The w roots of unity of the order, closed under negation; built once per order."""
+    us = _UNITS.get(order)
+    if us is None:
+        us = tuple(QuadInt(a, b, order) for a, b in _UNIT_COORDS[order.w])
+        _UNITS[order] = us
+    return us
+
+
+def unit_orbit(a: int, b: int, order: OrderDesc) -> list[tuple[int, int]]:
+    """Coordinates of the w unit multiples of a + b*beta, in the order of units().
+
+    For w = 4 and w = 6 the basis element beta (i, resp. omega) generates the
+    unit group, so the orbit is x, beta*x, beta^2*x, ... on plain ints.
+    """
+    if order.w == 2:
+        return [(a, b), (-a, -b)]
+    t = order.beta_trace
+    out = [(a, b)]
+    for _ in range(order.w - 1):
+        a, b = -b, a + b * t
+        out.append((a, b))
+    return out

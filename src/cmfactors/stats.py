@@ -9,7 +9,6 @@ arithmetic; only diagnostic ratios go through floating point.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
@@ -116,12 +115,9 @@ def _scan_chunk(
     primes_chunk: list[int],
     lo: int,
     hi: int,
-    seed,
-    chunk_index: int,
     checkpoints: tuple[int, ...],
     keep_records: bool,
 ):
-    rng = random.Random(f"{seed}:{chunk_index}")
     acc = SumAccumulator(x_lo=lo, x_processed=hi)
     recs: list[PrimeRecord] | None = [] if keep_records else None
     pending = sorted(x for x in checkpoints if lo <= x <= hi)
@@ -130,7 +126,7 @@ def _scan_chunk(
         while ci < len(pending) and pending[ci] < p:
             acc.snapshot(pending[ci])
             ci += 1
-        rec = dp_ep(p, curve, rng)
+        rec = dp_ep(p, curve)
         acc.accumulate(rec)
         if recs is not None:
             recs.append(rec)
@@ -155,8 +151,9 @@ def scan(
 ) -> ScanResult:
     """Fold dp_ep over all primes <= x_max.
 
-    Primes are processed in fixed-size chunks with per-chunk RNG streams,
-    so the record stream is reproducible regardless of worker count.
+    Primes are processed in fixed-size chunks, merged in order.  Every
+    value is exact and depends on no random stream, so the records are the
+    same at any worker count and chunk size; `seed` does not change them.
     """
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
@@ -167,7 +164,7 @@ def scan(
     for i in range(0, max(len(primes), 1), chunk_primes):
         chunk = primes[i : i + chunk_primes]
         hi = x_max if i + chunk_primes >= len(primes) else int(chunk[-1])
-        jobs.append((curve, chunk, lo, hi, seed, len(jobs), cps, keep_records))
+        jobs.append((curve, chunk, lo, hi, cps, keep_records))
         lo = hi + 1
     if workers > 1 and len(jobs) > 1:
         with Pool(min(workers, len(jobs))) as pool:

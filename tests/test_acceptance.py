@@ -281,13 +281,13 @@ def test_criterion_10_determinism_and_merge():
         chunk = primes[i * quarter :] if i == 3 else primes[i * quarter : (i + 1) * quarter]
         hi = 10**5 if i == 3 else int(chunk[-1])
         parts.append(
-            _scan_chunk(D4, chunk, lo, hi, 31, i, (10**4, 5 * 10**4), False)[0]
+            _scan_chunk(D4, chunk, lo, hi, (10**4, 5 * 10**4), False)[0]
         )
         lo = hi + 1
     merged = parts[0]
     for part in parts[1:]:
         merged = merge(merged, part)
-    mono = _scan_chunk(D4, primes, 2, 10**5, 31, 0, (10**4, 5 * 10**4), False)[0]
+    mono = _scan_chunk(D4, primes, 2, 10**5, (10**4, 5 * 10**4), False)[0]
     ok = ok and merged == mono
     _report(10, "byte-identical reruns and 4-chunk merge equality", ok)
 

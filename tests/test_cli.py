@@ -154,3 +154,21 @@ def test_table_override_scan(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout[stdout.index("{"):])["sum_dp"] == 16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--curve", "D4", "--xmax", "100", "--checkpoints", "abc"],
+        ["scan", "--curve", "D4", "--xmax", "100", "--checkpoints", "50,1000"],
+        ["verify", "--curve", "D4", "--pmax", "1"],
+        ["identity", "--curve", "D4", "--x", "1"],
+        ["aux", "schur", "--t", "0"],
+    ],
+    ids=["checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1", "schur-t-0"],
+)
+def test_bad_argument_values_exit_2(capsys, argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert stdout == ""

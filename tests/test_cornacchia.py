@@ -7,6 +7,7 @@ from cmfactors.cornacchia import (
     RAMIFIED,
     SPLIT,
     NoRoot,
+    _canonicalize,
     solve_norm,
     splitting_type,
     sqrt_mod,
@@ -92,3 +93,16 @@ def test_solve_norm_all_split_primes_to_1e5():
                 assert result.order == od
             else:
                 assert result is None, (od, p)
+
+
+def test_canonicalize_matches_quadint_reference():
+    # Reference: the orbit built with QuadInt unit and conjugate products.
+    rng = random.Random(23)
+    for od in all_orders():
+        for _ in range(300):
+            x = QuadInt(rng.randint(-400, 400), rng.randint(-400, 400), od)
+            if x.a == x.b == 0:
+                continue
+            orbit = [u * y for y in (x, conj(x)) for u in units(od)]
+            best = max(orbit, key=lambda z: (z.a > 0 and z.b > 0, z.a, z.b))
+            assert _canonicalize(x.a, x.b, od) == (best.a, best.b), (od, x)

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from cmfactors.eccurve import custom_curve, get_curve
+from cmfactors.cli import main
+from cmfactors.eccurve import curve_table, custom_curve, get_curve, load_table
 from cmfactors.frobenius import (
     AmbiguousFrobenius,
     classify,
-    conjugation_invariant,
     dp_ep,
     frobenius_at,
+    frobenius_by_sampling,
     validate_curve,
 )
+from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, parse_rules, rule_for
 from cmfactors.oracle import count_points, group_structure
 from cmfactors.primesieve import primes_upto
 from cmfactors.quadorder import QuadInt, conj, content, norm, trace
@@ -29,10 +31,11 @@ def test_frobenius_at_examples(curve_d4):
     # Expected N values come from the brute-force count.
     for p, pi_set in ((5, {(-1, 2), (-1, -2)}), (13, {(3, 2), (3, -2)}), (17, {(1, 4), (1, -4)})):
         n_true = count_points(curve_d4, p)
-        pi, n = frobenius_at(p, curve_d4)
-        assert n == n_true
-        assert norm(pi) == p
-        assert (pi.a, pi.b) in pi_set, (p, pi)
+        for frobenius in (frobenius_by_sampling, frobenius_at):
+            pi, n = frobenius(p, curve_d4)
+            assert n == n_true
+            assert norm(pi) == p
+            assert (pi.a, pi.b) in pi_set, (p, pi)
     assert count_points(curve_d4, 5) == 8
     assert count_points(curve_d4, 13) == 8
     assert count_points(curve_d4, 17) == 16
@@ -41,6 +44,8 @@ def test_frobenius_at_examples(curve_d4):
 def test_frobenius_at_rejects_non_ordinary(curve_d4):
     with pytest.raises(ValueError):
         frobenius_at(7, curve_d4)
+    with pytest.raises(ValueError):
+        frobenius_by_sampling(7, curve_d4)
 
 
 def test_dp_ep_examples(curve_d4):
@@ -99,7 +104,6 @@ def test_conjugation_invariance_on_frobenius_values(curve_d4):
         if classify(p, curve_d4) != "ord":
             continue
         pi, _ = frobenius_at(p, curve_d4)
-        assert conjugation_invariant(pi)
         assert content(pi - 1) == content(conj(pi) - 1)
 
 
@@ -110,11 +114,11 @@ def test_determinism_same_seed(curve_d4):
 
 
 def test_rng_argument_does_not_change_values(curve_d4):
-    # The resolved record is unique; the rng only drives the sampling path.
+    # The resolved Frobenius is unique; the rng only drives the sampling.
     for p in (5, 13, 17, 29, 37):
-        r1 = dp_ep(p, curve_d4, random.Random(1))
-        r2 = dp_ep(p, curve_d4, random.Random(999))
-        assert r1 == r2
+        r1 = frobenius_by_sampling(p, curve_d4, random.Random(1))
+        r2 = frobenius_by_sampling(p, curve_d4, random.Random(999))
+        assert r1 == r2 == frobenius_at(p, curve_d4)
 
 
 def test_validate_curve_accepts_table_entries(all_curves):
@@ -132,3 +136,57 @@ def test_ambiguous_frobenius_carries_prime():
     err = AmbiguousFrobenius(101)
     assert err.p == 101
     assert "101" in str(err)
+
+
+def test_packaged_rules_cover_the_table_models():
+    models = {(c.A, c.B, c.order.g, c.order.f) for c in curve_table()}
+    assert set(packaged_rules()) == models
+    assert all(rule_for(c) is not None for c in curve_table())
+
+
+def test_rule_residues_conjugation_closed_and_meet_each_orbit_once():
+    for model, rule in packaged_rules().items():
+        classes = set(rule.classes())
+        assert rule.residues <= classes, model
+        assert {rule.conj(r) for r in rule.residues} == rule.residues, model
+        for orbit in rule.orbits():
+            assert len(orbit & rule.residues) == 1, (model, sorted(orbit))
+        assert parse_rules(format_rule(rule))[model].residues == rule.residues
+
+
+def test_inconsistent_or_incomplete_rule_raises():
+    # 1 and i are associates in Z[i].
+    with pytest.raises(ValueError):
+        FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(1, 0), (0, 1)])
+    # Without 3 + 2i, the orbit of 3 + 2i (p = 13) has no allowed residue.
+    partial = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(1, 0)])
+    with pytest.raises(ValueError):
+        partial.select(13, 3, 2)
+
+
+def test_rule_path_agrees_with_sampling_to_1e5(all_curves):
+    for curve in all_curves:
+        for p in primes_upto(10**5):
+            if classify(p, curve) != "ord":
+                continue
+            pi, n = frobenius_at(p, curve)
+            ref, n_ref = frobenius_by_sampling(p, curve)
+            assert (pi, n) == (ref, n_ref), (curve.label, p)
+
+
+def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
+    # y^2 = x^3 - 4x is the quadratic twist of j1728-D4 by 2: same label and
+    # order, different Frobenius, so the D4 rule must not apply to it.
+    table = tmp_path / "table.txt"
+    table.write_text("j1728-D4 -4 0 -1 1 2\n")
+    twist = get_curve("j1728-D4", load_table(str(table)))
+    assert rule_for(twist) is None
+    sampled = []
+    monkeypatch.setattr(
+        "cmfactors.frobenius.frobenius_by_sampling",
+        lambda p, curve, rng=None: sampled.append(p) or frobenius_by_sampling(p, curve, rng),
+    )
+    assert validate_curve(twist, 2000) == []
+    assert 5 in sampled
+    code = main(["verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "2000"])
+    assert code == 0, capsys.readouterr().out

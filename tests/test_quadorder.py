@@ -24,6 +24,7 @@ from cmfactors.quadorder import (
     rep_count,
     rep_count_bruteforce,
     trace,
+    unit_orbit,
     units,
 )
 
@@ -258,3 +259,6 @@ def test_units_tables():
             for y in us:
                 z = x * y
                 assert (z.a, z.b) in coords
+        assert units(od) is us
+        x = QuadInt(5, -3, od)
+        assert unit_orbit(x.a, x.b, od) == [((u * x).a, (u * x).b) for u in us]

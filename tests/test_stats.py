@@ -74,12 +74,12 @@ def test_merge_random_chunkings(curve_d4):
 def test_merge_commutative_associative(curve_d4):
     primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
     cut1, cut2 = 20, 100
-    part = lambda lo, hi, idx: _scan_chunk(
-        curve_d4, [p for p in primes if lo <= p <= hi], lo, hi, 0, idx, (), False
+    part = lambda lo, hi: _scan_chunk(
+        curve_d4, [p for p in primes if lo <= p <= hi], lo, hi, (), False
     )[0]
-    a = part(2, cut1, 0)
-    b = part(cut1 + 1, cut2, 1)
-    c = part(cut2 + 1, 199, 2)
+    a = part(2, cut1)
+    b = part(cut1 + 1, cut2)
+    c = part(cut2 + 1, 199)
     assert merge(a, b) == merge(b, a)
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
     with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ def test_parallel_scan_matches_serial(curve_d4):
                           chunk_primes=701)
     assert parallel.records == serial_chunked.records
     assert parallel.accumulator == serial_chunked.accumulator
-    # Chunking choices never change the values, only the rng streams.
+    # Chunking choices never change the values.
     assert parallel.records == serial.records
     assert parallel.accumulator == serial.accumulator
 
