@@ -29,15 +29,7 @@ from .frobenius import (
     validate_curve,
 )
 from .oracle import count_points, enumerate_points, group_structure
-from .primesieve import (
-    PrimeRange,
-    SpfTable,
-    euler_phi,
-    factorize,
-    moebius_sq,
-    primes_upto,
-    tau,
-)
+from .primesieve import PrimeRange, euler_phi, factorize, primes_upto
 from .quadorder import (
     OrderDesc,
     QuadInt,

@@ -35,13 +35,21 @@ def _default_seed() -> int:
 
 
 def _resolve_curve(args) -> CmCurve:
-    table = load_table(args.table) if getattr(args, "table", None) else None
+    table = None
+    if getattr(args, "table", None):
+        try:
+            table = load_table(args.table)
+        except (OSError, ValueError) as e:
+            raise SystemExit2(f"--table {args.table}: {e}")
     if getattr(args, "custom", None):
-        parts = args.custom.split(",")
-        if len(parts) != 4:
-            raise SystemExit2("--custom expects A,B,g,f")
-        a, b, g, f = (int(t) for t in parts)
-        curve = custom_curve(a, b, g, f)
+        try:
+            a, b, g, f = (int(t) for t in args.custom.split(","))
+        except ValueError:
+            raise SystemExit2(f"--custom expects four integers A,B,g,f, got {args.custom!r}")
+        try:
+            curve = custom_curve(a, b, g, f)
+        except ValueError as e:
+            raise SystemExit2(f"--custom {args.custom}: {e}")
         mismatches = validate_curve(curve, 200)
         if mismatches:
             p, got, want = mismatches[0]
@@ -106,7 +114,6 @@ def cmd_scan(args) -> int:
         result = scan(
             curve,
             args.xmax,
-            seed=seed,
             checkpoints=checkpoints,
             workers=args.workers,
             keep_records=args.out is not None,
@@ -164,19 +171,18 @@ def cmd_identity(args) -> int:
     curve = _resolve_curve(args)
     if args.x < 2:
         raise SystemExit2("--x must be at least 2")
-    seed = args.seed if args.seed is not None else _default_seed()
-    lhs, rhs, equal = stats.decomposition_check(curve, args.x, seed=seed)
+    lhs, rhs, equal = stats.decomposition_check(curve, args.x)
     print(f"lhs={lhs} rhs={rhs} equal={equal}")
     return 0 if equal else 1
 
 
 def _parse_pair(text: str, od) -> QuadInt:
     parts = text.split(",")
-    if len(parts) == 1:
-        return QuadInt(int(parts[0]), 0, od)
-    if len(parts) == 2:
-        return QuadInt(int(parts[0]), int(parts[1]), od)
-    raise SystemExit2(f"expected a or a,b coordinates, got {text!r}")
+    try:
+        a, b = (int(parts[0]), int(parts[1])) if len(parts) == 2 else (int(text), 0)
+    except ValueError:
+        raise SystemExit2(f"expected integer coordinates a or a,b, got {text!r}")
+    return QuadInt(a, b, od)
 
 
 def cmd_aux(args) -> int:
@@ -204,7 +210,10 @@ def cmd_aux(args) -> int:
             print(f"slope={stats.wintner_slope(args.z):.6f}")
         return 0
     if args.aux_command == "bt":
-        od = order(args.g, 1)
+        try:
+            od = order(args.g, 1)
+        except ValueError as e:
+            raise SystemExit2(f"--g: {e}")
         mu = _parse_pair(args.mu, od)
         alpha = _parse_pair(args.alpha, od)
         try:
@@ -215,6 +224,8 @@ def cmd_aux(args) -> int:
         print(f"count={count} ratio={ratio:.6f}")
         return 0
     if args.aux_command == "trivlem":
+        if args.trials < 1:
+            raise SystemExit2("--trials must be at least 1")
         rng = random.Random(args.seed if args.seed is not None else _default_seed())
         failures = 0
         for _ in range(args.trials):
@@ -259,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identity", help="exact divisor-decomposition identity check")
     add_curve_args(sp)
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_identity)
 
     sp = sub.add_parser("aux", help="auxiliary diagnostics")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .cornacchia import NoRoot, sqrt_mod
+from .primesieve import factorize
 from .quadorder import ORDER_PARAMS, OrderDesc, order
 
 Point = tuple[int, int] | None
@@ -39,24 +40,13 @@ def model_bad_primes(A: int, B: int) -> frozenset[int]:
     """Primes where the short-Weierstrass model is singular.
 
     2 is always bad (every y^2 = cubic model is singular in characteristic
-    2); odd primes are bad exactly when they divide 4A^3 + 27B^2.
+    2); odd primes are bad exactly when they divide 4A^3 + 27B^2.  A
+    singular model, with 4A^3 + 27B^2 = 0, raises ValueError.
     """
     disc = abs(4 * A**3 + 27 * B**2)
-    bad = {2}
-    while disc % 2 == 0:
-        disc //= 2
-    d = 3
-    while d * d <= disc:
-        if disc % d == 0:
-            bad.add(d)
-            while disc % d == 0:
-                disc //= d
-        d += 2
-        if d > 10**6:
-            raise ValueError("model discriminant too large to factor")
-    if disc > 1:
-        bad.add(disc)
-    return frozenset(bad)
+    if disc == 0:
+        raise ValueError("singular model: 4A^3 + 27B^2 = 0")
+    return frozenset({2} | {q for q, _ in factorize(disc)})
 
 
 def custom_curve(A: int, B: int, g: int, f: int = 1, label: str | None = None) -> CmCurve:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eccurve import CmCurve, Point
+from .primesieve import factorize
 
 ENUMERATION_BOUND = 10**5
 
@@ -124,22 +125,6 @@ def _vec_scalar_mul(n, X, Y, INF, a, p):
     return RX, RY, RI
 
 
-def _factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     """Invariant factors (d, e), d | e, of E(F_p) by exact torsion counting.
 
@@ -153,7 +138,7 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     N = len(X) + 1
     a = curve.A % p
     d = 1
-    for q, k in _factor(N):
+    for q, k in factorize(N):
         if k < 2 or (p - 1) % q:
             continue
         TX, TY, TI = X, Y, np.zeros(len(X), dtype=bool)
@@ -179,7 +164,7 @@ def element_orders(curve: CmCurve, p: int) -> list[int]:
 
     pts = enumerate_points(curve, p)
     N = len(pts)
-    factors = _factor(N)
+    factors = factorize(N)
     a = curve.A % p
     orders = []
     for P in pts:

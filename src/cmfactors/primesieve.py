@@ -1,10 +1,11 @@
-"""Segmented sieve of Eratosthenes and a smallest-prime-factor table.
+"""Primes and integer factorisation: the package's one source of each.
 
-The sieve supplies the prime stream for scans (odd-only, numpy segments
-sized to stay cache-resident).  The SPF table backs the arithmetic
-functions phi, mu^2 and tau and exact factorization for the statistics
-module; its bound defaults to 2*10^4, enough for the divisor decomposition
-at scan bounds up to 10^8.
+`PrimeRange(lo, hi).segments()` is a segmented sieve of Eratosthenes
+(odd-only numpy segments sized to stay cache-resident); `primes_array` and
+`primes_upto` concatenate its segments.  `factorize` is trial division,
+exact for every integer the package meets (group orders, element norms,
+divisors of d_p, model discriminants); `euler_phi` and `divisors` are built
+on it.
 """
 from __future__ import annotations
 
@@ -14,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 18
-DEFAULT_SPF_BOUND = 2 * 10**4
+
+# factorize gives up on a cofactor above TRIAL_LIMIT^2 with no prime factor
+# up to TRIAL_LIMIT.
+TRIAL_LIMIT = 10**6
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain sieve (used for base primes and tests)."""
+    """All primes <= limit by a plain sieve (the base primes of a segment)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     is_prime = np.ones(limit + 1, dtype=bool)
@@ -31,7 +35,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeRange:
-    """Half-open-by-value prime source: yields exactly the primes in [lo, hi]."""
+    """The primes in [lo, hi], both ends included."""
 
     lo: int
     hi: int
@@ -42,13 +46,6 @@ class PrimeRange:
             raise ValueError("need 2 <= lo <= hi")
         if self.segment_size < 8:
             raise ValueError("segment_size too small")
-
-    def __iter__(self):
-        return iter(self.segments_flat())
-
-    def segments_flat(self):
-        for seg in self.segments():
-            yield from seg.tolist()
 
     def segments(self):
         """Numpy arrays of primes, one per sieve segment, in increasing order."""
@@ -81,113 +78,55 @@ class PrimeRange:
             low = high if high % 2 == 1 else high + 1
 
 
-def primes_upto(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
-    """Ordered stream of the primes <= x."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    return PrimeRange(2, x, segment_size).segments_flat()
-
-
-def primes_array(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def primes_array(x: int) -> np.ndarray:
     """All primes <= x as one int64 array."""
     if x < 2:
         raise ValueError("x must be at least 2")
-    segs = list(PrimeRange(2, x, segment_size).segments())
-    if not segs:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(segs)
+    return np.concatenate(list(PrimeRange(2, x).segments()))
 
 
-class SpfTable:
-    """Smallest-prime-factor table for exact factorization up to a bound."""
+def primes_upto(x: int) -> list[int]:
+    """The primes <= x, in increasing order."""
+    return primes_array(x).tolist()
 
-    def __init__(self, bound: int = DEFAULT_SPF_BOUND):
-        if bound < 2:
-            raise ValueError("bound must be at least 2")
-        self.bound = bound
-        spf = np.zeros(bound + 1, dtype=np.int64)
-        for i in range(2, math.isqrt(bound) + 1):
-            if spf[i] == 0:
-                sl = spf[i * i :: i]
-                sl[sl == 0] = i
-        untouched = spf == 0
-        untouched[:2] = False
-        idx = np.flatnonzero(untouched)
-        spf[idx] = idx
-        self._spf = spf
 
-    def _check(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
-        if n > self.bound:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 as (prime, exponent) pairs, primes increasing.
+
+    Trial division by 2 and then by odd d.  Raises ValueError for n < 1 and
+    for a cofactor above TRIAL_LIMIT^2 with no prime factor up to TRIAL_LIMIT.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: n must be positive")
+    out = []
+    d = 2
+    while d * d <= n:
+        if d > TRIAL_LIMIT:
             raise ValueError(
-                f"n={n} exceeds the factor table bound {self.bound}; "
-                "build a larger SpfTable"
+                f"cannot factor: cofactor {n} has no prime factor up to {TRIAL_LIMIT}"
             )
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization as (prime, exponent) pairs, increasing primes."""
-        self._check(n)
-        spf = self._spf
-        out = []
-        while n > 1:
-            p = int(spf[n])
+        if n % d == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while n % d == 0:
+                n //= d
                 e += 1
-            out.append((p, e))
-        return out
-
-    def euler_phi(self, n: int) -> int:
-        self._check(n)
-        result = n
-        for p, _ in self.factorize(n):
-            result = result // p * (p - 1)
-        return result
-
-    def moebius_sq(self, n: int) -> int:
-        self._check(n)
-        return 1 if all(e == 1 for _, e in self.factorize(n)) else 0
-
-    def tau(self, n: int) -> int:
-        self._check(n)
-        result = 1
-        for _, e in self.factorize(n):
-            result *= e + 1
-        return result
-
-    def divisors(self, n: int) -> list[int]:
-        """All positive divisors, unsorted."""
-        self._check(n)
-        divs = [1]
-        for p, e in self.factorize(n):
-            divs = [d * p**j for d in divs for j in range(e + 1)]
-        return divs
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
-_default_table: SpfTable | None = None
+def euler_phi(n: int) -> int:
+    result = n
+    for p, _ in factorize(n):
+        result = result // p * (p - 1)
+    return result
 
 
-def default_table(min_bound: int = DEFAULT_SPF_BOUND) -> SpfTable:
-    """Shared SPF table, grown on demand."""
-    global _default_table
-    if _default_table is None or _default_table.bound < min_bound:
-        _default_table = SpfTable(max(min_bound, DEFAULT_SPF_BOUND))
-    return _default_table
-
-
-def factorize(n: int, table: SpfTable | None = None) -> list[tuple[int, int]]:
-    return (table or default_table()).factorize(n)
-
-
-def euler_phi(n: int, table: SpfTable | None = None) -> int:
-    return (table or default_table()).euler_phi(n)
-
-
-def moebius_sq(n: int, table: SpfTable | None = None) -> int:
-    return (table or default_table()).moebius_sq(n)
-
-
-def tau(n: int, table: SpfTable | None = None) -> int:
-    return (table or default_table()).tau(n)
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, unsorted."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**j for d in divs for j in range(e + 1)]
+    return divs

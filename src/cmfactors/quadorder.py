@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+from .primesieve import factorize
+
 # The nine class-number-one field parameters g (squarefree, negative).
 FIELD_PARAMS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
@@ -239,22 +241,6 @@ def kronecker(delta: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _trial_factor(n: int) -> list[tuple[int, int]]:
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return factors
-
-
 def phi_ideal(d: int, order: OrderDesc) -> int:
     """Phi(d) = #(O_K/dO_K)^x = d^2 prod_{l|d} (1 - 1/l)(1 - (Delta/l)/l)."""
     if not order.is_maximal():
@@ -262,7 +248,7 @@ def phi_ideal(d: int, order: OrderDesc) -> int:
     if d < 1:
         raise ValueError("d must be positive")
     result = d * d
-    for ell, _ in _trial_factor(d):
+    for ell, _ in factorize(d):
         chi = kronecker(order.delta, ell)
         result = result * (ell - 1) * (ell - chi) // (ell * ell)
     return result
@@ -275,7 +261,7 @@ def rep_count(m: int, order: OrderDesc) -> int:
     if m < 1:
         raise ValueError("m must be positive")
     total = 1
-    for p, e in _trial_factor(m):
+    for p, e in factorize(m):
         chi = kronecker(order.delta, p)
         if chi == 1:
             total *= e + 1

@@ -15,12 +15,11 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cornacchia import INERT, RAMIFIED, SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve
 from .frobenius import PrimeRecord, dp_ep
-from .primesieve import SpfTable, primes_array, primes_upto
+from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
 from .quadorder import OrderDesc, QuadInt, conj, norm, units
 
 CHUNK_PRIMES = 1 << 16
@@ -143,7 +142,6 @@ def _scan_chunk_star(args):
 def scan(
     curve: CmCurve,
     x_max: int,
-    seed=0,
     checkpoints: Iterable[int] = (),
     workers: int = 1,
     keep_records: bool = True,
@@ -152,8 +150,8 @@ def scan(
     """Fold dp_ep over all primes <= x_max.
 
     Primes are processed in fixed-size chunks, merged in order.  Every
-    value is exact and depends on no random stream, so the records are the
-    same at any worker count and chunk size; `seed` does not change them.
+    value is exact and depends on no random stream, so the records and the
+    accumulator are the same at any worker count and chunk size.
     """
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
@@ -179,29 +177,23 @@ def scan(
     return ScanResult(acc, recs)
 
 
-def decomposition_check(
-    curve: CmCurve,
-    x: int,
-    seed=0,
-    records: list[PrimeRecord] | None = None,
-) -> tuple[int, int, bool]:
+def decomposition_check(curve: CmCurve, x: int) -> tuple[int, int, bool]:
     """Exact identity sum_{p<=x} d_p = sum_{d<=2 sqrt x} phi(d) #{good p: d | d_p}.
 
-    Counts divisors of every good record's d_p, weights by phi, and compares
-    with the direct sum; returns (lhs, rhs, lhs == rhs).
+    Reads the scan accumulator's exact d_p histogram (its key 0 holds the
+    bad primes), counts good primes by each divisor of d_p, weights by phi,
+    and compares with the direct sum; returns (lhs, rhs, lhs == rhs).
     """
-    if records is None:
-        records = scan(curve, x, seed=seed).records
-    table = SpfTable(max(2 * math.isqrt(x) + 2, 16))
+    hist = scan(curve, x, keep_records=False).accumulator.hist_dp
     lhs = 0
     div_counts: dict[int, int] = {}
-    for rec in records:
-        if rec.kind == "bad" or rec.p > x:
+    for d_p, count in hist.items():
+        if d_p == 0:
             continue
-        lhs += rec.d_p
-        for d in table.divisors(rec.d_p):
-            div_counts[d] = div_counts.get(d, 0) + 1
-    rhs = sum(table.euler_phi(d) * c for d, c in div_counts.items())
+        lhs += d_p * count
+        for d in divisors(d_p):
+            div_counts[d] = div_counts.get(d, 0) + count
+    rhs = sum(euler_phi(d) * c for d, c in div_counts.items())
     return lhs, rhs, lhs == rhs
 
 
@@ -244,7 +236,7 @@ def phi_element(mu: QuadInt) -> int:
     if n == 0:
         raise ValueError("Phi of the zero ideal is undefined")
     result = n
-    for p, _ in _factor_small(n):
+    for p, _ in factorize(n):
         for gen in prime_elements_above(p, mu.order):
             if qi_divides(gen, mu):
                 np_ = norm(gen)
@@ -252,28 +244,12 @@ def phi_element(mu: QuadInt) -> int:
     return result
 
 
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def comaximal(mu: QuadInt, alpha: QuadInt) -> bool:
     """No prime ideal divides both (mu) and (alpha)."""
     n = norm(mu)
     if n == 0 or norm(alpha) == 0:
         return False
-    for p, _ in _factor_small(math.gcd(n, norm(alpha))):
+    for p, _ in factorize(math.gcd(n, norm(alpha))):
         for gen in prime_elements_above(p, mu.order):
             if qi_divides(gen, mu) and qi_divides(gen, alpha):
                 return False
@@ -397,7 +373,6 @@ def trivlem_check(
     g: Callable[[int], Fraction] | dict[int, Fraction],
     k: int,
     t: int,
-    table: SpfTable | None = None,
 ) -> TrivlemResult:
     """Exact check of the coprime-restriction lower bound for multiplicative g.
 
@@ -405,8 +380,6 @@ def trivlem_check(
     rhs = (prod_{p|k} (1 + g(p))^-1) * (same sum without the coprimality).
     Returns both sides and whether lhs >= rhs.
     """
-    if table is None or table.bound < t:
-        table = SpfTable(max(t, max(k, 2), 16))
     if callable(g):
         gfun = g
     else:
@@ -414,7 +387,7 @@ def trivlem_check(
     lhs = Fraction(0)
     total = Fraction(0)
     for n in range(1, t + 1):
-        fac = table.factorize(n)
+        fac = factorize(n)
         if any(e > 1 for _, e in fac):
             continue
         val = Fraction(1)
@@ -424,7 +397,7 @@ def trivlem_check(
         if math.gcd(n, k) == 1:
             lhs += val
     rhs = total
-    for p, _ in table.factorize(k):
+    for p, _ in factorize(k):
         rhs /= 1 + gfun(p)
     return TrivlemResult(lhs, rhs, lhs >= rhs)
 
@@ -454,21 +427,25 @@ def duke_tail(
 # --- Logarithmic integral -----------------------------------------------------
 
 
-def li(y: float, rel_tol: float = 1e-9) -> float:
-    """Li(y) = integral from 2 to y of dt / log t, by adaptive quadrature.
+def li(y: float) -> float:
+    """Li(y) = integral from 2 to y of dt / log t.
 
-    Substituting t = e^u and integrating over unit panels keeps the
-    quadrature well conditioned out to very large y.
+    Substituting t = e^u gives the integral of e^u / u over [log 2, log y],
+    taken panel by panel over unit intervals with a fixed 20-point
+    Gauss-Legendre rule.  On a unit panel the integrand is analytic and
+    slowly varying, so the rule is accurate to rounding out to very large y.
     """
     if y <= 2:
         return 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(20)
     lo = math.log(2.0)
     hi = math.log(y)
     total = 0.0
     u = lo
     while u < hi:
         v = min(u + 1.0, hi)
-        val, _ = quad(lambda w: math.exp(w) / w, u, v, epsrel=rel_tol, epsabs=0.0)
-        total += val
+        half = (v - u) / 2
+        w = u + half * (nodes + 1.0)
+        total += half * float(np.dot(weights, np.exp(w) / w))
         u = v
     return total

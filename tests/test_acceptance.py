@@ -15,7 +15,7 @@ from cmfactors.cli import CSV_HEADER, _record_line
 from cmfactors.eccurve import cubic_splits, curve_table, get_curve
 from cmfactors.frobenius import dp_ep
 from cmfactors.oracle import enumerate_points, group_structure
-from cmfactors.primesieve import SpfTable, primes_array
+from cmfactors.primesieve import euler_phi, primes_array
 from cmfactors.quadorder import maximal_orders, phi_ideal, rep_count
 from cmfactors.stats import (
     _scan_chunk,
@@ -42,7 +42,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def scan_1e6():
     t0 = time.time()
-    result = scan(D4, 10**6, seed=0, workers=1, keep_records=True)
+    result = scan(D4, 10**6, workers=1, keep_records=True)
     return result, time.time() - t0
 
 
@@ -52,7 +52,6 @@ def scan_1e7():
     result = scan(
         D4,
         10**7,
-        seed=0,
         checkpoints=[10**5, 10**6, 10**7],
         workers=4,
         keep_records=False,
@@ -86,7 +85,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_decomposition_identity():
     ok = True
     for curve in CURVES:
-        lhs, rhs, equal = decomposition_check(curve, 10**4, seed=1)
+        lhs, rhs, equal = decomposition_check(curve, 10**4)
         ok = ok and equal and lhs == rhs
     _report(2, "exact decomposition identity at x = 1e4, 13 curves", ok)
 
@@ -95,7 +94,7 @@ def test_criterion_3_supersingular_law():
     ok = True
     detail = ""
     for curve in CURVES:
-        records = scan(curve, 10**5, seed=2).records
+        records = scan(curve, 10**5).records
         for r in records:
             if r.kind != "ss":
                 continue
@@ -233,10 +232,9 @@ def test_criterion_7_formula_oracles():
             if not ok:
                 break
     if ok:
-        table = SpfTable(bound)
         for od in maximal_orders():
             for d in range(1, bound + 1):
-                if phi_ideal(d, od) < table.euler_phi(d) ** 2:
+                if phi_ideal(d, od) < euler_phi(d) ** 2:
                     ok, detail = False, f"Phi >= phi^2 fails at d={d} g={od.g}"
                     break
             if not ok:
@@ -253,22 +251,21 @@ def test_criterion_8_schur_linear_growth():
 
 def test_criterion_9_trivlem_randomized():
     rng = random.Random(20250501)
-    table = SpfTable(1000)
     primes = [p for p in primes_array(1000).tolist()]
     failures = 0
     for _ in range(10**3):
         gmap = {p: Fraction(rng.randint(0, 8), 4) for p in primes}
         k = rng.randint(1, 100)
         t = rng.randint(1, 1000)
-        res = trivlem_check(lambda p: gmap[p], k, t, table=table)
+        res = trivlem_check(lambda p: gmap[p], k, t)
         if not res.holds:
             failures += 1
     _report(9, "squarefree restriction inequality, 1000 random cases", failures == 0)
 
 
 def test_criterion_10_determinism_and_merge():
-    a = scan(D4, 10**5, seed=31)
-    b = scan(D4, 10**5, seed=31)
+    a = scan(D4, 10**5)
+    b = scan(D4, 10**5)
     csv_a = "\n".join([CSV_HEADER] + [_record_line(r) for r in a.records])
     csv_b = "\n".join([CSV_HEADER] + [_record_line(r) for r in b.records])
     ok = csv_a.encode() == csv_b.encode()

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import cmfactors
 
 from cmfactors.cli import CSV_HEADER, main
 
@@ -164,11 +169,39 @@ def test_table_override_scan(tmp_path, capsys):
         ["verify", "--curve", "D4", "--pmax", "1"],
         ["identity", "--curve", "D4", "--x", "1"],
         ["aux", "schur", "--t", "0"],
+        ["scan", "--custom", "1,2,x,1", "--xmax", "100"],
+        ["scan", "--custom", "1,1,5,1", "--xmax", "100"],
+        ["scan", "--custom", "0,0,-1,1", "--xmax", "100"],
+        ["scan", "--table", "SINGULAR_TABLE", "--curve", "sing", "--xmax", "100"],
+        ["scan", "--curve", "D4", "--table", "/nonexistent", "--xmax", "100"],
+        ["verify", "--custom", "10000000000000000007,1,-1,1", "--pmax", "100"],
+        ["aux", "bt", "--x", "100", "--mu", "2", "--alpha", "1", "--g", "5"],
+        ["aux", "bt", "--x", "100", "--mu", "2,x", "--alpha", "1"],
+        ["aux", "trivlem", "--trials", "-1"],
     ],
-    ids=["checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1", "schur-t-0"],
+    ids=[
+        "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
+        "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
+        "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
+        "bt-g-5", "bt-mu-not-integer", "trivlem-trials-negative",
+    ],
 )
-def test_bad_argument_values_exit_2(capsys, argv):
+def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
+    if "SINGULAR_TABLE" in argv:
+        table = tmp_path / "table.txt"
+        table.write_text("sing 0 0 -1 1 2\n")
+        argv = [str(table) if a == "SINGULAR_TABLE" else a for a in argv]
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert stdout == ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(cmfactors.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cmfactors.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

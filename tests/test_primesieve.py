@@ -3,14 +3,13 @@ import random
 import pytest
 
 from cmfactors.primesieve import (
+    TRIAL_LIMIT,
     PrimeRange,
-    SpfTable,
+    divisors,
     euler_phi,
     factorize,
-    moebius_sq,
     primes_array,
     primes_upto,
-    tau,
 )
 
 
@@ -22,6 +21,10 @@ def _reference_sieve(limit):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
     return [i for i, f in enumerate(flags) if f]
+
+
+def _range_primes(prime_range):
+    return [p for seg in prime_range.segments() for p in seg.tolist()]
 
 
 def test_primes_upto_examples():
@@ -39,14 +42,14 @@ def test_segment_boundaries_invisible():
     rng = random.Random(99)
     for _ in range(10):
         x = rng.randint(10, 10**6)
-        seg = list(PrimeRange(2, x, segment_size=rng.choice([16, 301, 4096])))
+        seg = _range_primes(PrimeRange(2, x, segment_size=rng.choice([16, 301, 4096])))
         assert seg == _reference_sieve(x)
 
 
 def test_prime_range_window():
     # Emitted primes are exactly the primes in [lo, hi].
     full = _reference_sieve(5000)
-    assert list(PrimeRange(1000, 5000, segment_size=64)) == [
+    assert _range_primes(PrimeRange(1000, 5000, segment_size=64)) == [
         p for p in full if p >= 1000
     ]
 
@@ -58,33 +61,41 @@ def test_factorize_examples():
 
 
 def test_arith_function_examples():
+    squarefree = lambda n: all(e == 1 for _, e in factorize(n))
     assert euler_phi(1) == 1
-    assert moebius_sq(1) == 1
-    assert tau(1) == 1
-    assert tau(36) == 9
-    assert moebius_sq(12) == 0
-    assert moebius_sq(30) == 1
+    assert squarefree(1)
+    assert divisors(1) == [1]
+    assert len(divisors(36)) == 9
+    assert not squarefree(12)
+    assert squarefree(30)
 
 
 def test_phi_divisor_sum_identity():
-    table = SpfTable(10**4)
     for m in range(1, 10**4 + 1):
-        assert sum(table.euler_phi(d) for d in table.divisors(m)) == m
+        assert sum(euler_phi(d) for d in divisors(m)) == m
 
 
 def test_factorize_against_reconstruction(rng):
-    table = SpfTable(10**5)
     for _ in range(500):
         n = rng.randint(1, 10**5)
         prod = 1
-        for p, e in table.factorize(n):
+        for p, e in factorize(n):
             prod *= p**e
         assert prod == n
 
 
 def test_table_bound_error():
-    table = SpfTable(100)
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            factorize(n)
     with pytest.raises(ValueError):
-        table.factorize(101)
+        euler_phi(0)
+    # A cofactor above TRIAL_LIMIT^2 with no prime factor up to TRIAL_LIMIT.
+    q = 1000003  # the least prime above 10^6
+    assert 999983 < TRIAL_LIMIT < q
     with pytest.raises(ValueError):
-        table.euler_phi(0)
+        factorize(q * q)
+    with pytest.raises(ValueError):
+        factorize(12 * q * q)
+    assert factorize(12 * q) == [(2, 2), (3, 1), (q, 1)]
+    assert factorize(999983 * 999983) == [(999983, 2)]  # largest prime below 10^6

@@ -205,12 +205,11 @@ def test_phi_ideal_matches_residue_count():
 
 
 def test_phi_ideal_dominates_phi_squared():
-    from cmfactors.primesieve import SpfTable
+    from cmfactors.primesieve import euler_phi
 
-    table = SpfTable(1000)
     for od in maximal_orders():
         for d in range(1, 1001):
-            assert phi_ideal(d, od) >= table.euler_phi(d) ** 2
+            assert phi_ideal(d, od) >= euler_phi(d) ** 2
 
 
 def test_phi_ideal_nonmaximal_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cmfactors.eccurve import get_curve
-from cmfactors.primesieve import SpfTable
+from cmfactors.primesieve import euler_phi, factorize
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
 from cmfactors.stats import (
     _scan_chunk,
@@ -50,8 +50,8 @@ def test_scan_rejects_tiny_bound(curve_d4):
 
 def test_merge_equals_monolithic(curve_d4):
     x = 2 * 10**4
-    mono = scan(curve_d4, x, seed=5)
-    chunked = scan(curve_d4, x, seed=5, chunk_primes=512)
+    mono = scan(curve_d4, x)
+    chunked = scan(curve_d4, x, chunk_primes=512)
     assert chunked.accumulator == mono.accumulator
     assert chunked.records == mono.records
 
@@ -59,12 +59,11 @@ def test_merge_equals_monolithic(curve_d4):
 def test_merge_random_chunkings(curve_d4):
     x = 10**5
     rng = random.Random(17)
-    reference = scan(curve_d4, x, seed=0, checkpoints=[100, 5000]).accumulator
+    reference = scan(curve_d4, x, checkpoints=[100, 5000]).accumulator
     for _ in range(4):
         acc = scan(
             curve_d4,
             x,
-            seed=0,
             checkpoints=[100, 5000],
             chunk_primes=rng.randint(500, 9000),
         ).accumulator
@@ -104,10 +103,10 @@ def test_checkpoint_values(curve_d4):
 
 
 def test_parallel_scan_matches_serial(curve_d4):
-    serial = scan(curve_d4, 5 * 10**4, seed=2, checkpoints=[10**4])
-    parallel = scan(curve_d4, 5 * 10**4, seed=2, checkpoints=[10**4], workers=3,
+    serial = scan(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    parallel = scan(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=3,
                     chunk_primes=701)
-    serial_chunked = scan(curve_d4, 5 * 10**4, seed=2, checkpoints=[10**4],
+    serial_chunked = scan(curve_d4, 5 * 10**4, checkpoints=[10**4],
                           chunk_primes=701)
     assert parallel.records == serial_chunked.records
     assert parallel.accumulator == serial_chunked.accumulator
@@ -137,10 +136,9 @@ def test_decomposition_exact_at_1e4():
 
 
 def test_decomposition_reuses_records(curve_d4):
-    records = scan(curve_d4, 2000).records
-    lhs, rhs, equal = decomposition_check(curve_d4, 2000, records=records)
+    lhs, rhs, equal = decomposition_check(curve_d4, 2000)
     assert equal
-    assert lhs == sum(r.d_p for r in records)
+    assert lhs == scan(curve_d4, 2000).accumulator.sum_dp
 
 
 # --- Brun-Titchmarsh countering -------------------------------------------------
@@ -211,11 +209,10 @@ def test_schur_growth_is_linear():
 def test_wintner_examples():
     assert wintner_sum(2) == Fraction(5, 4)
     # Direct summation oracle over d <= 10.
-    table = SpfTable(10)
     expected = Fraction(0)
     for d in range(1, 11):
-        if table.moebius_sq(d):
-            expected += Fraction(table.euler_phi(d), d * d)
+        if all(e == 1 for _, e in factorize(d)):
+            expected += Fraction(euler_phi(d), d * d)
     assert expected == Fraction(16319, 8820)
     assert wintner_sum(10) == expected
 
@@ -244,13 +241,12 @@ def test_trivlem_k1_is_equality():
 
 def test_trivlem_randomized():
     rng = random.Random(7)
-    table = SpfTable(1000)
     primes = [p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     for _ in range(200):
         gmap = {p: Fraction(rng.randint(0, 8), 4) for p in primes}
         k = rng.randint(1, 100)
         t = rng.randint(1, 1000)
-        res = trivlem_check(lambda p: gmap[p], k, t, table=table)
+        res = trivlem_check(lambda p: gmap[p], k, t)
         assert res.holds
 
 
