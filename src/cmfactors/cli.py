@@ -13,6 +13,7 @@ sampling path used for models without a residue rule can raise it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -25,7 +26,7 @@ from .frobenius import AmbiguousFrobenius, dp_ep, validate_curve
 from .oracle import ENUMERATION_BOUND, group_structure
 from .primesieve import primes_upto
 from .quadorder import QuadInt, order
-from .stats import ScanResult, scan
+from .stats import SumAccumulator, scan
 
 CSV_HEADER = "p,kind,a_p,pi_a,pi_b,N,d_p,e_p"
 
@@ -77,9 +78,8 @@ def _record_line(rec) -> str:
     )
 
 
-def _summary_dict(curve: CmCurve, seed, result: ScanResult, x_max: int) -> dict:
-    acc = result.accumulator
-    return {
+def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:
+    summary = {
         "curve": curve.label,
         "seed": seed,
         "xmax": x_max,
@@ -96,12 +96,42 @@ def _summary_dict(curve: CmCurve, seed, result: ScanResult, x_max: int) -> dict:
             for c in acc.checkpoints
         ],
     }
+    return json.dumps(summary, sort_keys=True, indent=2)
+
+
+@contextlib.contextmanager
+def _atomic_outputs(path: str):
+    """Open temp files beside PATH and PATH.summary.json; yield (csv, summary).
+
+    They are renamed into place only if the body completes; on any
+    exception they are removed, so no partial target is left behind.
+    An unusable PATH raises SystemExit2 before the body runs.
+    """
+    if os.path.isdir(path):
+        raise SystemExit2(f"--out {path}: is a directory")
+    targets = (path, path + ".summary.json")
+    temps = [f"{t}.{os.getpid()}.tmp" for t in targets]
+    try:
+        with contextlib.ExitStack() as files:
+            try:
+                handles = [files.enter_context(open(t, "w", encoding="utf-8")) for t in temps]
+            except OSError as e:
+                raise SystemExit2(f"--out {path}: {e.strerror}")
+            yield handles
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def cmd_scan(args) -> int:
     curve = _resolve_curve(args)
     if args.xmax < 2:
         raise SystemExit2("--xmax must be at least 2")
+    if args.workers < 1:
+        raise SystemExit2("--workers must be at least 1")
     try:
         checkpoints = [int(t) for t in args.checkpoints.split(",")] if args.checkpoints else []
     except ValueError:
@@ -110,29 +140,24 @@ def cmd_scan(args) -> int:
     if outside:
         raise SystemExit2(f"checkpoint {outside[0]} lies outside [2, --xmax {args.xmax}]")
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        result = scan(
+    if not args.out:
+        acc = scan(curve, args.xmax, checkpoints=checkpoints, workers=args.workers)
+        print(_summary_text(curve, seed, acc, args.xmax))
+        return 0
+    with _atomic_outputs(args.out) as (csv_fh, summary_fh):
+        csv_fh.write(CSV_HEADER + "\n")
+        acc = scan(
             curve,
             args.xmax,
             checkpoints=checkpoints,
             workers=args.workers,
-            keep_records=args.out is not None,
+            records=lambda recs: csv_fh.writelines(_record_line(r) + "\n" for r in recs),
         )
-    except AmbiguousFrobenius as e:
-        print(f"ambiguous Frobenius at p={e.p}", file=sys.stderr)
-        return 3
-    summary = _summary_dict(curve, seed, result, args.xmax)
-    text = json.dumps(summary, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rec in result.records:
-                fh.write(_record_line(rec) + "\n")
-        summary_path = args.out + ".summary.json"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {len(result.records)} records to {args.out}")
-        print(f"wrote summary to {summary_path}")
+        text = _summary_text(curve, seed, acc, args.xmax)
+        summary_fh.write(text + "\n")
+    # One record per prime.
+    print(f"wrote {acc.pi_x} records to {args.out}")
+    print(f"wrote summary to {args.out}.summary.json")
     print(text)
     return 0
 

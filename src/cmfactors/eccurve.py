@@ -214,44 +214,6 @@ def _poly_mulmod(u, v, f1, f0, p):
     return (c0 % p, c1 % p, c2 % p)
 
 
-def _cubic_root_count(A: int, B: int, p: int) -> int:
-    """Distinct roots of x^3 + Ax + B in F_p via gcd(x^p - x, f)."""
-    f1, f0 = A % p, B % p
-    # x^p mod f by square-and-multiply.
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    n = p
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, f1, f0, p)
-        n >>= 1
-        if n:
-            base = _poly_mulmod(base, base, f1, f0, p)
-    # gcd(f, x^p - x): degree of the gcd counts the distinct roots.
-    r0, r1, r2 = result
-    r1 = (r1 - 1) % p
-    u = [f0, f1, 0, 1]  # cubic, monic
-    v = [r0, r1, r2]
-    while True:
-        while v and v[-1] == 0:
-            v.pop()
-        if not v:
-            return len(u) - 1
-        inv = pow(v[-1], -1, p)
-        v = [c * inv % p for c in v]
-        if len(v) == 1:
-            return 0
-        # u mod v
-        u = u[:]
-        for i in range(len(u) - 1, len(v) - 2, -1):
-            c = u[i]
-            if c:
-                off = i - (len(v) - 1)
-                for k in range(len(v)):
-                    u[off + k] = (u[off + k] - c * v[k]) % p
-        u, v = v, u[: len(v) - 1]
-
-
 def cubic_splits(curve: CmCurve, p: int) -> bool:
     """True iff x^3 + Ax + B has three roots in F_p (all 2-torsion rational)."""
     if p <= 3 or p in curve.bad_primes:
@@ -261,4 +223,16 @@ def cubic_splits(curve: CmCurve, p: int) -> bool:
     disc = (-4 * curve.A**3 - 27 * curve.B**2) % p
     if pow(disc, (p - 1) // 2, p) == p - 1:
         return False
-    return _cubic_root_count(curve.A, curve.B, p) == 3
+    # A squarefree f splits over F_p exactly when f | x^p - x, that is when
+    # x^p = x (mod f); x^p mod f by square-and-multiply.
+    f1, f0 = curve.A % p, curve.B % p
+    result = (1, 0, 0)
+    base = (0, 1, 0)
+    n = p
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, base, f1, f0, p)
+        n >>= 1
+        if n:
+            base = _poly_mulmod(base, base, f1, f0, p)
+    return result == (0, 1, 0)

@@ -78,11 +78,11 @@ class PrimeRange:
             low = high if high % 2 == 1 else high + 1
 
 
-def primes_array(x: int) -> np.ndarray:
-    """All primes <= x as one int64 array."""
+def primes_array(x: int, lo: int = 2) -> np.ndarray:
+    """The primes in [lo, x] as one int64 array (empty if there are none)."""
     if x < 2:
         raise ValueError("x must be at least 2")
-    return np.concatenate(list(PrimeRange(2, x).segments()))
+    return np.concatenate([np.empty(0, dtype=np.int64), *PrimeRange(lo, x).segments()])
 
 
 def primes_upto(x: int) -> list[int]:

@@ -309,12 +309,6 @@ def rep_count_bruteforce(m: int, order: OrderDesc) -> int:
     return count
 
 
-_UNIT_COORDS = {
-    4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
-    # Powers of omega: 1, w, w-1, -1, -w, 1-w.
-    6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
-    2: ((1, 0), (-1, 0)),
-}
 _UNITS: dict[OrderDesc, tuple[QuadInt, ...]] = {}
 
 
@@ -322,7 +316,7 @@ def units(order: OrderDesc) -> tuple[QuadInt, ...]:
     """The w roots of unity of the order, closed under negation; built once per order."""
     us = _UNITS.get(order)
     if us is None:
-        us = tuple(QuadInt(a, b, order) for a, b in _UNIT_COORDS[order.w])
+        us = tuple(QuadInt(a, b, order) for a, b in unit_orbit(1, 0, order))
         _UNITS[order] = us
     return us
 

@@ -1,13 +1,17 @@
 """Aggregation and the empirical checks built on the per-prime records.
 
-Covers the mergeable scan accumulator, the exact divisor decomposition of
-sum d_p, the Brun-Titchmarsh prime-element counter, the Schur and Wintner
-mean-value sums, the squarefree restriction inequality, and the tail table
-for the normal size of d_p.  Identity checks use exact integer or rational
-arithmetic; only diagnostic ratios go through floating point.
+Covers the scan (a streaming fold of dp_ep over fixed ranges of p whose
+mergeable accumulators are combined in order as the ranges complete; the
+records go to a caller's sink, never into one list), the exact divisor
+decomposition of sum d_p, the Brun-Titchmarsh prime-element counter, the
+Schur and Wintner mean-value sums, the squarefree restriction inequality,
+and the tail table for the normal size of d_p.  Identity checks use exact
+integer or rational arithmetic; only diagnostic ratios go through floating
+point.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +26,8 @@ from .frobenius import PrimeRecord, dp_ep
 from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
 from .quadorder import OrderDesc, QuadInt, conj, norm, units
 
-CHUNK_PRIMES = 1 << 16
+# Each scan job covers this many consecutive integers.
+CHUNK_SPAN = 1 << 16
 
 
 class Checkpoint(NamedTuple):
@@ -103,25 +108,19 @@ def merge(a: SumAccumulator, b: SumAccumulator) -> SumAccumulator:
     )
 
 
-@dataclass
-class ScanResult:
-    accumulator: SumAccumulator
-    records: list[PrimeRecord] | None
-
-
 def _scan_chunk(
     curve: CmCurve,
-    primes_chunk: list[int],
     lo: int,
     hi: int,
     checkpoints: tuple[int, ...],
-    keep_records: bool,
+    keep: bool,
 ):
+    """The accumulator over the primes in [lo, hi], and their records if keep."""
     acc = SumAccumulator(x_lo=lo, x_processed=hi)
-    recs: list[PrimeRecord] | None = [] if keep_records else None
+    recs: list[PrimeRecord] | None = [] if keep else None
     pending = sorted(x for x in checkpoints if lo <= x <= hi)
     ci = 0
-    for p in primes_chunk:
+    for p in primes_array(hi, lo=lo).tolist():
         while ci < len(pending) and pending[ci] < p:
             acc.snapshot(pending[ci])
             ci += 1
@@ -144,37 +143,34 @@ def scan(
     x_max: int,
     checkpoints: Iterable[int] = (),
     workers: int = 1,
-    keep_records: bool = True,
-    chunk_primes: int = CHUNK_PRIMES,
-) -> ScanResult:
-    """Fold dp_ep over all primes <= x_max.
+    records: Callable[[list[PrimeRecord]], object] | None = None,
+) -> SumAccumulator:
+    """Fold dp_ep over all primes <= x_max and return the accumulator.
 
-    Primes are processed in fixed-size chunks, merged in order.  Every
-    value is exact and depends on no random stream, so the records and the
-    accumulator are the same at any worker count and chunk size.
+    [2, x_max] is cut into ranges of CHUNK_SPAN integers; each job sieves
+    its own range.  Chunk results are merged in increasing order as they
+    arrive, and `records`, if given, is called with each chunk's records
+    (increasing p), so memory does not grow with x_max.  Every value is
+    exact and depends on no random stream, so records and accumulator are
+    the same at any worker count and chunk span.
     """
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
-    primes = primes_array(x_max).tolist()
-    jobs = []
-    lo = 2
-    for i in range(0, max(len(primes), 1), chunk_primes):
-        chunk = primes[i : i + chunk_primes]
-        hi = x_max if i + chunk_primes >= len(primes) else int(chunk[-1])
-        jobs.append((curve, chunk, lo, hi, cps, keep_records))
-        lo = hi + 1
-    if workers > 1 and len(jobs) > 1:
-        with Pool(min(workers, len(jobs))) as pool:
-            parts = list(pool.imap(_scan_chunk_star, jobs))
-    else:
-        parts = [_scan_chunk(*job) for job in jobs]
-    acc, recs = parts[0]
-    for nxt_acc, nxt_recs in parts[1:]:
-        acc = merge(acc, nxt_acc)
-        if recs is not None:
-            recs.extend(nxt_recs)
-    return ScanResult(acc, recs)
+    keep = records is not None
+    jobs = [
+        (curve, lo, min(lo + CHUNK_SPAN - 1, x_max), cps, keep)
+        for lo in range(2, x_max + 1, CHUNK_SPAN)
+    ]
+    parallel = workers > 1 and len(jobs) > 1
+    acc = None
+    with Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
+        parts = pool.imap(_scan_chunk_star, jobs) if parallel else map(_scan_chunk_star, jobs)
+        for part, recs in parts:
+            acc = part if acc is None else merge(acc, part)
+            if keep:
+                records(recs)
+    return acc
 
 
 def decomposition_check(curve: CmCurve, x: int) -> tuple[int, int, bool]:
@@ -184,7 +180,7 @@ def decomposition_check(curve: CmCurve, x: int) -> tuple[int, int, bool]:
     bad primes), counts good primes by each divisor of d_p, weights by phi,
     and compares with the direct sum; returns (lhs, rhs, lhs == rhs).
     """
-    hist = scan(curve, x, keep_records=False).accumulator.hist_dp
+    hist = scan(curve, x).hist_dp
     lhs = 0
     div_counts: dict[int, int] = {}
     for d_p, count in hist.items():

@@ -42,8 +42,9 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def scan_1e6():
     t0 = time.time()
-    result = scan(D4, 10**6, workers=1, keep_records=True)
-    return result, time.time() - t0
+    records = []
+    acc = scan(D4, 10**6, workers=1, records=records.extend)
+    return (acc, records), time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,6 @@ def scan_1e7():
         10**7,
         checkpoints=[10**5, 10**6, 10**7],
         workers=4,
-        keep_records=False,
     )
     return result, time.time() - t0
 
@@ -94,7 +94,8 @@ def test_criterion_3_supersingular_law():
     ok = True
     detail = ""
     for curve in CURVES:
-        records = scan(curve, 10**5).records
+        records = []
+        scan(curve, 10**5, records=records.extend)
         for r in records:
             if r.kind != "ss":
                 continue
@@ -123,9 +124,9 @@ def test_criterion_3_supersingular_law():
 
 
 def test_criterion_4_hasse_and_divisibility(scan_1e6):
-    result, elapsed = scan_1e6
+    (_, records), elapsed = scan_1e6
     ok = True
-    for r in result.records:
+    for r in records:
         if r.kind == "bad":
             if (r.d_p, r.e_p, r.N) != (0, 0, 0):
                 ok = False
@@ -151,13 +152,13 @@ def test_criterion_4_hasse_and_divisibility(scan_1e6):
         4,
         "Hasse bound and divisibility over a 1e6 scan",
         ok,
-        f"{len(result.records)} records, single worker {elapsed:.1f}s",
+        f"{len(records)} records, single worker {elapsed:.1f}s",
     )
 
 
 def test_criterion_5_sum_dp_ratio_stability(scan_1e7):
     result, elapsed = scan_1e7
-    ratios = [c.sum_dp / c.x for c in result.accumulator.checkpoints]
+    ratios = [c.sum_dp / c.x for c in result.checkpoints]
     ok = (
         len(ratios) == 3
         and all(r > 0 for r in ratios)
@@ -174,7 +175,7 @@ def test_criterion_5_sum_dp_ratio_stability(scan_1e7):
 
 def test_criterion_6_sum_ep_over_li(scan_1e7):
     result, _ = scan_1e7
-    cps = {c.x: c for c in result.accumulator.checkpoints}
+    cps = {c.x: c for c in result.checkpoints}
     r6 = cps[10**6].sum_ep / li(float(10**6) ** 2)
     r7 = cps[10**7].sum_ep / li(float(10**7) ** 2)
     ok = 0.0 < r6 < 1.0 and abs(r7 / r6 - 1.0) < 0.10
@@ -264,10 +265,11 @@ def test_criterion_9_trivlem_randomized():
 
 
 def test_criterion_10_determinism_and_merge():
-    a = scan(D4, 10**5)
-    b = scan(D4, 10**5)
-    csv_a = "\n".join([CSV_HEADER] + [_record_line(r) for r in a.records])
-    csv_b = "\n".join([CSV_HEADER] + [_record_line(r) for r in b.records])
+    a, b = [], []
+    scan(D4, 10**5, records=a.extend)
+    scan(D4, 10**5, records=b.extend)
+    csv_a = "\n".join([CSV_HEADER] + [_record_line(r) for r in a])
+    csv_b = "\n".join([CSV_HEADER] + [_record_line(r) for r in b])
     ok = csv_a.encode() == csv_b.encode()
     # Four explicit chunks merged vs one monolithic accumulation.
     primes = primes_array(10**5).tolist()
@@ -275,16 +277,13 @@ def test_criterion_10_determinism_and_merge():
     parts = []
     lo = 2
     for i in range(4):
-        chunk = primes[i * quarter :] if i == 3 else primes[i * quarter : (i + 1) * quarter]
-        hi = 10**5 if i == 3 else int(chunk[-1])
-        parts.append(
-            _scan_chunk(D4, chunk, lo, hi, (10**4, 5 * 10**4), False)[0]
-        )
+        hi = 10**5 if i == 3 else primes[(i + 1) * quarter - 1]
+        parts.append(_scan_chunk(D4, lo, hi, (10**4, 5 * 10**4), False)[0])
         lo = hi + 1
     merged = parts[0]
     for part in parts[1:]:
         merged = merge(merged, part)
-    mono = _scan_chunk(D4, primes, 2, 10**5, (10**4, 5 * 10**4), False)[0]
+    mono = _scan_chunk(D4, 2, 10**5, (10**4, 5 * 10**4), False)[0]
     ok = ok and merged == mono
     _report(10, "byte-identical reruns and 4-chunk merge equality", ok)
 
@@ -292,5 +291,5 @@ def test_criterion_10_determinism_and_merge():
 def test_criterion_11_zero_ambiguous(scan_1e6, scan_1e7):
     # AmbiguousFrobenius aborts a scan; criteria 1-6 completing means the
     # count is zero across every prime they touched.
-    ok = scan_1e6[0].accumulator.pi_x == 78498 and scan_1e7[0].accumulator.pi_x == 664579
+    ok = scan_1e6[0][0].pi_x == 78498 and scan_1e7[0].pi_x == 664579
     _report(11, "zero AmbiguousFrobenius across criteria 1-6", ok)

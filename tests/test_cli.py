@@ -7,7 +7,9 @@ import pytest
 
 import cmfactors
 
+from cmfactors import stats
 from cmfactors.cli import CSV_HEADER, main
+from cmfactors.frobenius import AmbiguousFrobenius
 
 
 def run(capsys, *argv):
@@ -22,6 +24,8 @@ def test_scan_example(tmp_path, capsys):
         capsys, "scan", "--curve", "j1728-D4", "--xmax", "20", "--out", str(out)
     )
     assert code == 0
+    # The temp files were renamed into place; nothing else is left.
+    assert sorted(os.listdir(tmp_path)) == ["records.csv", "records.csv.summary.json"]
     summary = json.loads((tmp_path / "records.csv.summary.json").read_text())
     assert summary["sum_dp"] == 16
     assert summary["curve"] == "j1728-D4"
@@ -178,12 +182,16 @@ def test_table_override_scan(tmp_path, capsys):
         ["aux", "bt", "--x", "100", "--mu", "2", "--alpha", "1", "--g", "5"],
         ["aux", "bt", "--x", "100", "--mu", "2,x", "--alpha", "1"],
         ["aux", "trivlem", "--trials", "-1"],
+        ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
+        ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
+        ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
     ],
     ids=[
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
         "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
         "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
         "bt-g-5", "bt-mu-not-integer", "trivlem-trials-negative",
+        "out-unwritable", "workers-0", "workers-negative",
     ],
 )
 def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
@@ -191,10 +199,31 @@ def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
         table = tmp_path / "table.txt"
         table.write_text("sing 0 0 -1 1 2\n")
         argv = [str(table) if a == "SINGULAR_TABLE" else a for a in argv]
+    argv = [str(tmp_path / "missing" / "x.csv") if a == "UNWRITABLE_PATH" else a for a in argv]
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert stdout == ""
+
+
+def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):
+    def ambiguous(p, curve):
+        if p > 50:
+            raise AmbiguousFrobenius(p)
+        return real(p, curve)
+
+    real = stats.dp_ep
+    monkeypatch.setattr(stats, "dp_ep", ambiguous)
+    # Small chunks, so rows below p = 50 reach the temp CSV before the failure.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 16)
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "scan", "--curve", "D4", "--xmax", "100", "--workers", "1", "--out", str(out)
+    )
+    assert code == 3
+    assert err == "ambiguous Frobenius at p=53\n"
+    assert stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

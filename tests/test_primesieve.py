@@ -54,6 +54,20 @@ def test_prime_range_window():
     ]
 
 
+def test_primes_array_window():
+    full = _reference_sieve(20000)
+    rng = random.Random(5)
+    for _ in range(50):
+        hi = rng.randint(2, 20000)
+        lo = rng.randint(2, hi)
+        got = primes_array(hi, lo=lo)
+        assert got.dtype == "int64"
+        assert got.tolist() == [p for p in full if lo <= p <= hi]
+    # A range with no prime gives an empty array, not an error.
+    assert primes_array(93, lo=90).tolist() == []
+    assert primes_array(2, lo=2).tolist() == [2]
+
+
 def test_factorize_examples():
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(1) == []

@@ -7,6 +7,7 @@ import pytest
 from cmfactors.eccurve import get_curve
 from cmfactors.primesieve import euler_phi, factorize
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
+from cmfactors import stats
 from cmfactors.stats import (
     _scan_chunk,
     bt_counter,
@@ -30,17 +31,23 @@ O1 = order(-1)
 # --- scan and accumulator -----------------------------------------------------
 
 
+def _scan_with_records(curve, x, **kwargs):
+    recs = []
+    acc = scan(curve, x, records=recs.extend, **kwargs)
+    return acc, recs
+
+
 def test_scan_example_to_20(curve_d4):
-    res = scan(curve_d4, 20)
-    assert res.accumulator.sum_dp == 16
-    by_p = {r.p: r.d_p for r in res.records}
+    acc, recs = _scan_with_records(curve_d4, 20)
+    assert acc.sum_dp == 16
+    by_p = {r.p: r.d_p for r in recs}
     assert by_p == {2: 0, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 4, 19: 2}
 
 
 def test_scan_example_to_4(curve_d4):
-    res = scan(curve_d4, 4)
-    assert res.accumulator.sum_dp == 2
-    assert [(r.p, r.kind) for r in res.records] == [(2, "bad"), (3, "small")]
+    acc, recs = _scan_with_records(curve_d4, 4)
+    assert acc.sum_dp == 2
+    assert [(r.p, r.kind) for r in recs] == [(2, "bad"), (3, "small")]
 
 
 def test_scan_rejects_tiny_bound(curve_d4):
@@ -48,34 +55,26 @@ def test_scan_rejects_tiny_bound(curve_d4):
         scan(curve_d4, 1)
 
 
-def test_merge_equals_monolithic(curve_d4):
+def test_merge_equals_monolithic(curve_d4, monkeypatch):
     x = 2 * 10**4
-    mono = scan(curve_d4, x)
-    chunked = scan(curve_d4, x, chunk_primes=512)
-    assert chunked.accumulator == mono.accumulator
-    assert chunked.records == mono.records
+    mono = _scan_with_records(curve_d4, x)
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 512)
+    chunked = _scan_with_records(curve_d4, x)
+    assert chunked == mono
 
 
-def test_merge_random_chunkings(curve_d4):
+def test_merge_random_chunkings(curve_d4, monkeypatch):
     x = 10**5
     rng = random.Random(17)
-    reference = scan(curve_d4, x, checkpoints=[100, 5000]).accumulator
+    reference = scan(curve_d4, x, checkpoints=[100, 5000])
     for _ in range(4):
-        acc = scan(
-            curve_d4,
-            x,
-            checkpoints=[100, 5000],
-            chunk_primes=rng.randint(500, 9000),
-        ).accumulator
-        assert acc == reference
+        monkeypatch.setattr(stats, "CHUNK_SPAN", rng.randint(500, 9000))
+        assert scan(curve_d4, x, checkpoints=[100, 5000]) == reference
 
 
 def test_merge_commutative_associative(curve_d4):
-    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
     cut1, cut2 = 20, 100
-    part = lambda lo, hi: _scan_chunk(
-        curve_d4, [p for p in primes if lo <= p <= hi], lo, hi, (), False
-    )[0]
+    part = lambda lo, hi: _scan_chunk(curve_d4, lo, hi, (), False)[0]
     a = part(2, cut1)
     b = part(cut1 + 1, cut2)
     c = part(cut2 + 1, 199)
@@ -86,7 +85,7 @@ def test_merge_commutative_associative(curve_d4):
 
 
 def test_accumulator_consistency(curve_d4):
-    acc = scan(curve_d4, 10**4, checkpoints=[10, 100, 1000]).accumulator
+    acc = scan(curve_d4, 10**4, checkpoints=[10, 100, 1000])
     assert acc.sum_dp == sum(d * c for d, c in acc.hist_dp.items())
     assert acc.pi_x == 1229
     xs = [c.x for c in acc.checkpoints]
@@ -97,22 +96,44 @@ def test_accumulator_consistency(curve_d4):
 
 
 def test_checkpoint_values(curve_d4):
-    acc = scan(curve_d4, 100, checkpoints=[20, 100]).accumulator
+    acc = scan(curve_d4, 100, checkpoints=[20, 100])
     assert acc.checkpoints[0] == (20, 16, 34, 8)
     assert acc.checkpoints[1].pi_x == 25
 
 
-def test_parallel_scan_matches_serial(curve_d4):
-    serial = scan(curve_d4, 5 * 10**4, checkpoints=[10**4])
-    parallel = scan(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=3,
-                    chunk_primes=701)
-    serial_chunked = scan(curve_d4, 5 * 10**4, checkpoints=[10**4],
-                          chunk_primes=701)
-    assert parallel.records == serial_chunked.records
-    assert parallel.accumulator == serial_chunked.accumulator
+def test_parallel_scan_matches_serial(curve_d4, monkeypatch):
+    serial_acc, serial_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    par_acc, par_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=3)
+    chunked_acc, chunked_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    assert par_recs == chunked_recs
+    assert par_acc == chunked_acc
     # Chunking choices never change the values.
-    assert parallel.records == serial.records
-    assert parallel.accumulator == serial.accumulator
+    assert par_recs == serial_recs
+    assert par_acc == serial_acc
+
+
+def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
+    reference = _scan_with_records(curve_d4, 100, checkpoints=[91])
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 4)
+    # The chunks are [2, 5], [6, 9], ..., and [90, 93] holds no prime.
+    assert 90 in range(2, 101, stats.CHUNK_SPAN)
+    assert len(stats.primes_array(93, lo=90)) == 0
+    assert _scan_with_records(curve_d4, 100, checkpoints=[91]) == reference
+
+
+def test_scan_sieves_one_chunk_at_a_time(curve_d4, monkeypatch):
+    spans = []
+    sieve = stats.primes_array
+
+    def recording(x, lo=2):
+        spans.append(x - lo + 1)
+        return sieve(x, lo)
+
+    monkeypatch.setattr(stats, "primes_array", recording)
+    acc = scan(curve_d4, 10**5, workers=1)
+    assert acc.pi_x == 9592
+    assert spans and max(spans) <= stats.CHUNK_SPAN
 
 
 # --- decomposition identity ----------------------------------------------------
@@ -138,7 +159,7 @@ def test_decomposition_exact_at_1e4():
 def test_decomposition_reuses_records(curve_d4):
     lhs, rhs, equal = decomposition_check(curve_d4, 2000)
     assert equal
-    assert lhs == scan(curve_d4, 2000).accumulator.sum_dp
+    assert lhs == scan(curve_d4, 2000).sum_dp
 
 
 # --- Brun-Titchmarsh countering -------------------------------------------------
@@ -254,7 +275,7 @@ def test_trivlem_randomized():
 
 
 def test_duke_tail_examples(curve_d4):
-    records = scan(curve_d4, 20).records
+    _, records = _scan_with_records(curve_d4, 20)
     rows = duke_tail(records, [1, 3, math.sqrt(20) + 1])
     by_T = {row[1]: row for row in rows}
     assert by_T[1][4] == 1.0
@@ -263,7 +284,7 @@ def test_duke_tail_examples(curve_d4):
 
 
 def test_duke_tail_multiple_checkpoints(curve_d4):
-    records = scan(curve_d4, 100).records
+    _, records = _scan_with_records(curve_d4, 100)
     rows = duke_tail(records, [2], xs=[20, 100])
     assert [r[0] for r in rows] == [20, 100]
     for _, _, num, den, frac in rows:
@@ -297,7 +318,7 @@ def test_li_quadrature_matches_series(y):
 
 
 def test_sum_ep_ratio_strictly_inside_unit_interval(curve_d4):
-    acc = scan(curve_d4, 10**4, checkpoints=[10**4]).accumulator
+    acc = scan(curve_d4, 10**4, checkpoints=[10**4])
     cp = acc.checkpoints[0]
     ratio = cp.sum_ep / li(float(cp.x) ** 2)
     assert 0.0 < ratio < 1.0
