@@ -29,7 +29,7 @@ from .frobenius import (
     validate_curve,
 )
 from .oracle import count_points, enumerate_points, group_structure
-from .primesieve import PrimeRange, euler_phi, factorize, primes_upto
+from .primesieve import euler_phi, factorize, primes_upto
 from .quadorder import (
     OrderDesc,
     QuadInt,

@@ -83,8 +83,6 @@ def _solve_maximal(p: int, g: int) -> tuple[int, int] | None:
     """One (a, b) with Nm(a + b*omega) = p in the maximal order, or None."""
     if g % 4 != 1:
         # Form X^2 + |g| Y^2 = p; classic Cornacchia from the larger root.
-        if p == 2:
-            return (0, 1) if g == -2 else (1, 1)  # g = -1: 1 + i
         r = sqrt_mod(g % p, p)
         r = max(r, p - r)
         x = _descend(p, r, math.isqrt(p))
@@ -99,8 +97,9 @@ def _solve_maximal(p: int, g: int) -> tuple[int, int] | None:
     # Odd discriminant: solve u^2 + |g| v^2 = 4p with u, v of equal parity,
     # then a = (u - v)/2, b = v.
     if p == 2:
-        # 2 splits iff g = 1 mod 8, i.e. only g = -7 here; omega has norm 2.
-        return (0, 1) if g % 8 == 1 else None
+        # solve_norm passes p = 2 only where it splits (g = 1 mod 8): that is
+        # g = -7 alone among these fields, and there omega has norm 2.
+        return (0, 1)
     r = sqrt_mod(g % p, p)
     if r % 2 == 0:
         r = p - r

@@ -198,41 +198,17 @@ def random_point(curve: CmCurve, p: int, rng) -> Point:
         return (x, y)
 
 
-def _poly_mulmod(u, v, f1, f0, p):
-    """(u*v) mod (x^3 + f1 x + f0) for degree-<3 polys as coefficient triples."""
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    c0 = u0 * v0
-    c1 = u0 * v1 + u1 * v0
-    c2 = u0 * v2 + u1 * v1 + u2 * v0
-    c3 = u1 * v2 + u2 * v1
-    c4 = u2 * v2
-    # Reduce x^4 = -f1 x^2 - f0 x, x^3 = -f1 x - f0.
-    c2 -= c4 * f1
-    c1 -= c4 * f0 + c3 * f1
-    c0 -= c3 * f0
-    return (c0 % p, c1 % p, c2 % p)
-
-
 def cubic_splits(curve: CmCurve, p: int) -> bool:
-    """True iff x^3 + Ax + B has three roots in F_p (all 2-torsion rational)."""
+    """True iff x^3 + Ax + B has three roots in F_p (all 2-torsion rational).
+
+    Valid for a good prime p > 3 with #E(F_p) even, as at every
+    supersingular p, where #E(F_p) = p + 1.  Then E(F_p) has a point of
+    order 2 (Cauchy), so the cubic has a root mod p.  A squarefree cubic with
+    a root has 1 or 3 roots, and 3 exactly when its discriminant
+    -4A^3 - 27B^2 is a square mod p, because Frobenius then permutes the
+    roots evenly.  So one Euler criterion decides it.
+    """
     if p <= 3 or p in curve.bad_primes:
         raise ValueError(f"p={p} is not usable for curve arithmetic on {curve.label}")
-    # The cubic is squarefree mod good p; a nonsquare discriminant means
-    # exactly one root, otherwise zero or three.
-    disc = (-4 * curve.A**3 - 27 * curve.B**2) % p
-    if pow(disc, (p - 1) // 2, p) == p - 1:
-        return False
-    # A squarefree f splits over F_p exactly when f | x^p - x, that is when
-    # x^p = x (mod f); x^p mod f by square-and-multiply.
-    f1, f0 = curve.A % p, curve.B % p
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    n = p
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, f1, f0, p)
-        n >>= 1
-        if n:
-            base = _poly_mulmod(base, base, f1, f0, p)
-    return result == (0, 1, 0)
+    disc = -4 * curve.A**3 - 27 * curve.B**2
+    return pow(disc, (p - 1) // 2, p) == 1

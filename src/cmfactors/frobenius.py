@@ -6,8 +6,9 @@ pi_p - 1.  Cornacchia only pins pi_p down to a unit multiple.  For the
 table's models a residue rule (see frobrules) picks the unit; for any other
 model the candidates' orders and exponents are tested against random
 points, each prime seeding its own generator, so values never depend on a
-seed.  Supersingular primes need no group work at all: d_p <= 2, with
-d_p = 2 exactly when the division cubic splits.
+seed.  Supersingular primes need no group work at all: #E(F_p) = p + 1 and
+d_p = 2 exactly when the 2-torsion is rational, which one Legendre symbol
+of the discriminant of x^3 + Ax + B decides (eccurve.cubic_splits).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .cornacchia import SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
 from .frobrules import rule_for
 from .oracle import count_points, group_structure
+from .primesieve import primes_upto
 from .quadorder import QuadInt, content, trace, units
 
 # perfbench/tracing.py times this by rebinding it in this module.
@@ -160,8 +162,9 @@ def dp_ep(p: int, curve: CmCurve) -> PrimeRecord:
         a, b = pi.a, pi.b
         d = math.gcd(a - 1, b)  # content(pi - 1)
         return PrimeRecord(p, ORDINARY, p + 1 - n, a, b, n, d, n // d)
-    # Supersingular: N = p + 1 and d_p <= 2; full 2-torsion needs 4 | p + 1,
-    # so the cubic can only split when p = 3 (mod 4).
+    # Supersingular: N = p + 1 is even, and d_p = 2 exactly when the cubic
+    # splits.  That is full 2-torsion, so 4 | p + 1: testing p = 3 (mod 4)
+    # first skips the modular power at every p = 1 (mod 4).
     n = p + 1
     d = 2 if p % 4 == 3 and cubic_splits(curve, p) else 1
     return PrimeRecord(p, SUPERSINGULAR, 0, 0, 0, n, d, n // d)
@@ -174,8 +177,6 @@ def validate_curve(curve: CmCurve, pmax: int = 1000) -> list[tuple[int, int, int
     the two disagree; an empty list certifies the curve entry.  This is the
     validation gate that makes the curve table trustworthy data.
     """
-    from .primesieve import primes_upto
-
     mismatches = []
     for p in primes_upto(pmax):
         if p in curve.bad_primes:

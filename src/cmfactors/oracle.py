@@ -16,12 +16,16 @@ from .primesieve import factorize
 
 ENUMERATION_BOUND = 10**5
 
+# count_points builds its int64 x and y arrays in slices of this many residues,
+# so those temporaries stay bounded for large p.
+_COUNT_CHUNK = 1 << 20
 
-def _check_p(curve: CmCurve, p: int, bound: int = ENUMERATION_BOUND):
+
+def _check_p(curve: CmCurve, p: int):
     if p in curve.bad_primes:
         raise ValueError(f"p={p} is a bad prime for {curve.label}")
-    if p < 2 or p > bound:
-        raise ValueError(f"p={p} outside the enumeration bound {bound}")
+    if p < 2 or p > ENUMERATION_BOUND:
+        raise ValueError(f"p={p} outside the enumeration bound {ENUMERATION_BOUND}")
 
 
 def _qr_table(p: int) -> np.ndarray:
@@ -36,19 +40,19 @@ def _rhs_values(curve: CmCurve, p: int) -> np.ndarray:
     return (xs * xs % p * xs + (curve.A % p) * xs + curve.B) % p
 
 
-def count_points(curve: CmCurve, p: int, chunk: int = 1 << 20) -> int:
+def count_points(curve: CmCurve, p: int) -> int:
     """#E(F_p) by direct quadratic-residue counting; works to large p."""
     if p in curve.bad_primes:
         raise ValueError(f"p={p} is a bad prime for {curve.label}")
     qr = np.zeros(p, dtype=bool)
-    for lo in range(0, p, chunk):
-        ys = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
+    for lo in range(0, p, _COUNT_CHUNK):
+        ys = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
         qr[ys * ys % p] = True
     a = curve.A % p
     b = curve.B % p
     total = 1
-    for lo in range(0, p, chunk):
-        xs = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
+    for lo in range(0, p, _COUNT_CHUNK):
+        xs = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
         rhs = (xs * xs % p * xs + a * xs + b) % p
         zero = rhs == 0
         total += int(zero.sum()) + 2 * int((qr[rhs] & ~zero).sum())

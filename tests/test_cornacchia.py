@@ -13,7 +13,7 @@ from cmfactors.cornacchia import (
     sqrt_mod,
 )
 from cmfactors.primesieve import primes_array
-from cmfactors.quadorder import QuadInt, all_orders, conj, norm, order, units
+from cmfactors.quadorder import QuadInt, all_orders, conj, maximal_orders, norm, order, units
 
 O1 = order(-1)
 O3 = order(-3)
@@ -65,9 +65,15 @@ def test_solve_norm_deterministic():
 
 def test_solve_norm_small_split_primes():
     # 2 splits only in Q(sqrt(-7)) among the nine fields.
-    s = solve_norm(2, order(-7))
-    assert norm(s) == 2
-    assert splitting_type(2, order(-7)) == SPLIT
+    assert len(maximal_orders()) == 9
+    for od in maximal_orders():
+        s = solve_norm(2, od)
+        if od.g == -7:
+            assert splitting_type(2, od) == SPLIT
+            assert norm(s) == 2
+        else:
+            assert splitting_type(2, od) != SPLIT
+            assert s is None, od
     s = solve_norm(3, order(-11))
     assert norm(s) == 3
 

@@ -5,7 +5,6 @@ import pytest
 from cmfactors.eccurve import (
     add,
     cubic_splits,
-    custom_curve,
     get_curve,
     is_on_curve,
     load_table,
@@ -87,20 +86,23 @@ def test_random_point_contract(curve_d4):
 
 def test_cubic_splits_examples(curve_d4):
     assert cubic_splits(curve_d4, 7)  # x^3 - x = x(x-1)(x+1)
-    # x^3 + x + 1 has no roots mod 5, hence is irreducible there.
-    c = custom_curve(1, 1, -1, 1, label="irreducible-demo")
-    assert not cubic_splits(c, 5)
+    # y^2 = x^3 + 1 has #E(F_5) = 6, even, but x^3 + 1 has the one root 4 mod 5.
+    assert not cubic_splits(get_curve("D3"), 5)
+    with pytest.raises(ValueError):
+        cubic_splits(curve_d4, 3)
 
 
 def test_cubic_splits_matches_two_torsion(all_curves):
     # Independent count: rational 2-torsion = points with y = 0, plus infinity.
+    # cubic_splits answers for good p > 3 where #E(F_p) is even.
     for curve in all_curves:
         for p in primes_upto(1000):
             if p <= 3 or p in curve.bad_primes:
                 continue
-            two_torsion = 1 + sum(
-                1 for P in enumerate_points(curve, p) if P is not None and P[1] == 0
-            )
+            points = enumerate_points(curve, p)
+            if len(points) % 2:
+                continue
+            two_torsion = 1 + sum(1 for P in points if P is not None and P[1] == 0)
             assert cubic_splits(curve, p) == (two_torsion == 4), (curve.label, p)
 
 

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -192,3 +195,13 @@ def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
     assert 5 in sampled
     code = main(["verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "2000"])
     assert code == 0, capsys.readouterr().out
+
+
+def test_frobenius_rules_tool_imports():
+    # --help exits before any rule is learned or the data file is written,
+    # so this only checks that the tool's imports from cmfactors resolve.
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "frobenius_rules.py")
+    out = subprocess.run([sys.executable, tool, "--help"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "PMAX" in out.stdout

@@ -1,10 +1,10 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from cmfactors.primesieve import (
     TRIAL_LIMIT,
-    PrimeRange,
     divisors,
     euler_phi,
     factorize,
@@ -23,10 +23,6 @@ def _reference_sieve(limit):
     return [i for i, f in enumerate(flags) if f]
 
 
-def _range_primes(prime_range):
-    return [p for seg in prime_range.segments() for p in seg.tolist()]
-
-
 def test_primes_upto_examples():
     assert list(primes_upto(10)) == [2, 3, 5, 7]
     assert list(primes_upto(2)) == [2]
@@ -38,34 +34,26 @@ def test_prime_count_to_one_million():
     assert len(primes_array(10**6)) == 78498
 
 
-def test_segment_boundaries_invisible():
-    rng = random.Random(99)
-    for _ in range(10):
-        x = rng.randint(10, 10**6)
-        seg = _range_primes(PrimeRange(2, x, segment_size=rng.choice([16, 301, 4096])))
-        assert seg == _reference_sieve(x)
-
-
-def test_prime_range_window():
-    # Emitted primes are exactly the primes in [lo, hi].
-    full = _reference_sieve(5000)
-    assert _range_primes(PrimeRange(1000, 5000, segment_size=64)) == [
-        p for p in full if p >= 1000
-    ]
-
-
 def test_primes_array_window():
-    full = _reference_sieve(20000)
+    full = _reference_sieve(10**6)
     rng = random.Random(5)
-    for _ in range(50):
-        hi = rng.randint(2, 20000)
-        lo = rng.randint(2, hi)
+    windows = [(lo, hi) for hi in range(2, 80) for lo in range(2, hi + 1)]
+    for _ in range(300):
+        # Whole prefixes, scan-range-sized windows, even and odd lo, lo = hi.
+        hi = rng.randint(3, 10**6)
+        short = max(2, hi - rng.randint(0, 1 << 16))
+        windows += [(lo, hi) for lo in (2, 3, short, short - short % 2, hi)]
+    windows += [(10**6, 10**6), (999_983, 999_983)]
+    for lo, hi in windows:
         got = primes_array(hi, lo=lo)
         assert got.dtype == "int64"
-        assert got.tolist() == [p for p in full if lo <= p <= hi]
+        assert got.tolist() == full[bisect_left(full, lo) : bisect_right(full, hi)], (lo, hi)
     # A range with no prime gives an empty array, not an error.
     assert primes_array(93, lo=90).tolist() == []
     assert primes_array(2, lo=2).tolist() == [2]
+    for lo, hi in ((1, 10), (11, 10), (2, 1)):
+        with pytest.raises(ValueError):
+            primes_array(hi, lo=lo)
 
 
 def test_factorize_examples():
