@@ -34,6 +34,21 @@ def test_prime_count_to_one_million():
     assert len(primes_array(10**6)) == 78498
 
 
+def test_segment_boundaries_invisible():
+    # The sieve is cut at sqrt(x): primes below it strike the window above it.
+    # No prefix [2, x] may show that cut.
+    rng = random.Random(99)
+    for _ in range(10):
+        x = rng.randint(10, 10**6)
+        assert primes_array(x).tolist() == _reference_sieve(x), x
+
+
+def test_prime_range_window():
+    # Emitted primes are exactly the primes in [lo, hi].
+    full = _reference_sieve(5000)
+    assert primes_array(5000, lo=1000).tolist() == [p for p in full if p >= 1000]
+
+
 def test_primes_array_window():
     full = _reference_sieve(10**6)
     rng = random.Random(5)
