@@ -52,7 +52,6 @@ from .stats import (
     bt_counter,
     bt_ratio,
     decomposition_check,
-    duke_tail,
     li,
     merge,
     scan,

@@ -1,15 +1,16 @@
 """Splitting types and norm equations in the thirteen supported orders.
 
-For a split prime p, `solve_norm` produces an element of norm p in the
-order via Cornacchia's Euclidean descent on the norm form (the 4p variant
-for odd field discriminants).  For conductors 2 and 3 the maximal-order
-solution is steered into the suborder through the unit orbit.
+For a prime p, `solve_norm` runs one modified Cornacchia descent on the
+order's own discriminant D = f^2 * Delta: the square root of D mod p is the
+split test (none means inert, D = 0 mod p means ramified), and the
+Euclidean descent from 2p yields u^2 + |D| v^2 = 4p, hence an element of
+norm p that already lies in the order, whatever its conductor.
 """
 from __future__ import annotations
 
 import math
 
-from .quadorder import OrderDesc, QuadInt, kronecker, norm, order, unit_orbit
+from .quadorder import OrderDesc, QuadInt, kronecker, norm, unit_orbit
 
 # perfbench/tracing.py times these by rebinding them in this module.
 from .quadorder import conj, units  # noqa: F401
@@ -72,51 +73,6 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-def _descend(a: int, b: int, limit: int) -> int:
-    """Euclidean remainder chain from (a, b) down to the first value <= limit."""
-    while b > limit:
-        a, b = b, a % b
-    return b
-
-
-def _solve_maximal(p: int, g: int) -> tuple[int, int] | None:
-    """One (a, b) with Nm(a + b*omega) = p in the maximal order, or None."""
-    if g % 4 != 1:
-        # Form X^2 + |g| Y^2 = p; classic Cornacchia from the larger root.
-        r = sqrt_mod(g % p, p)
-        r = max(r, p - r)
-        x = _descend(p, r, math.isqrt(p))
-        rem = p - x * x
-        if rem % -g:
-            return None
-        y2 = rem // -g
-        y = math.isqrt(y2)
-        if y * y != y2:
-            return None
-        return (x, y)
-    # Odd discriminant: solve u^2 + |g| v^2 = 4p with u, v of equal parity,
-    # then a = (u - v)/2, b = v.
-    if p == 2:
-        # solve_norm passes p = 2 only where it splits (g = 1 mod 8): that is
-        # g = -7 alone among these fields, and there omega has norm 2.
-        return (0, 1)
-    r = sqrt_mod(g % p, p)
-    if r % 2 == 0:
-        r = p - r
-    limit = math.isqrt(4 * p)
-    for x0 in (r, 2 * p - r):
-        u = _descend(2 * p, x0, limit)
-        rem = 4 * p - u * u
-        if rem % -g:
-            continue
-        v2 = rem // -g
-        v = math.isqrt(v2)
-        if v * v != v2 or (u - v) % 2:
-            continue
-        return ((u - v) // 2, v)
-    return None
-
-
 def _canonicalize(a: int, b: int, order_desc: OrderDesc) -> tuple[int, int]:
     """Deterministic representative of the unit-conjugation orbit of a + b*beta.
 
@@ -133,8 +89,11 @@ def _canonicalize(a: int, b: int, order_desc: OrderDesc) -> tuple[int, int]:
 def solve_norm(p: int, order_desc: OrderDesc) -> QuadInt | None:
     """An element of norm p in the order for split p, else None.
 
-    The result is canonicalized so reruns are bit-identical.  Internal
-    failure for a split prime would indicate a broken descent and raises.
+    Solves u^2 + |D| v^2 = 4p on the order's discriminant D by the modified
+    Cornacchia algorithm (Cohen, Alg. 1.5.3); then a + b*beta with
+    u = 2a + b*Tr(beta) and b = v has norm p.  The result is canonicalized
+    so reruns are bit-identical.  Internal failure for a split prime would
+    indicate a broken descent and raises.
     """
     f = order_desc.f
     if f > 1:
@@ -142,25 +101,31 @@ def solve_norm(p: int, order_desc: OrderDesc) -> QuadInt | None:
             raise ValueError("p must not divide the conductor")
         if p <= 3:
             raise ValueError("conductor > 1 requires p > 3")
-    if splitting_type(p, order_desc) != SPLIT:
+    d = order_desc.disc
+    if d % p == 0:
         return None
-    g = order_desc.g
-    sol = _solve_maximal(p, g)
-    if sol is None:
-        raise ArithmeticError(f"Cornacchia descent failed for split p={p}, g={g}")
-    a, b = sol
-    if f > 1:
-        # Steer into the suborder: some unit multiple has f | b.  This always
-        # succeeds for the supported conductors and split p coprime to f.
-        for a, b in unit_orbit(a, b, order(g, 1)):
-            if b % f == 0:
-                break
-        else:
-            raise ArithmeticError(
-                f"no associate of norm {p} lies in the conductor-{f} order"
-            )
-        b //= f
-    x = QuadInt(*_canonicalize(a, b, order_desc), order_desc)
+    if p == 2:
+        if d % 8 != 1:
+            return None
+        r = 1
+    else:
+        try:
+            r = sqrt_mod(d, p)
+        except NoRoot:
+            return None
+        if (r - d) % 2:
+            r = p - r
+    # r^2 = D (mod 4p); descend from (2p, r) to the first remainder <= 2 sqrt(p).
+    limit = math.isqrt(4 * p)
+    m, u = 2 * p, r
+    while u > limit:
+        m, u = u, m % u
+    v2, rem = divmod(4 * p - u * u, -d)
+    v = math.isqrt(v2)
+    if rem or v * v != v2:
+        raise ArithmeticError(f"Cornacchia descent failed for split p={p}, D={d}")
+    a, b = _canonicalize((u - v * order_desc.beta_trace) // 2, v, order_desc)
+    x = QuadInt(a, b, order_desc)
     if norm(x) != p:
-        raise ArithmeticError(f"descent returned a non-solution for p={p}, g={g}")
+        raise ArithmeticError(f"descent returned a non-solution for p={p}, D={d}")
     return x

@@ -4,10 +4,9 @@ Covers the scan (a streaming fold of dp_ep over fixed ranges of p whose
 mergeable accumulators are combined in order as the ranges complete; the
 records go to a caller's sink, never into one list), the exact divisor
 decomposition of sum d_p, the Brun-Titchmarsh prime-element counter, the
-Schur and Wintner mean-value sums, the squarefree restriction inequality,
-and the tail table for the normal size of d_p.  Identity checks use exact
-integer or rational arithmetic; only diagnostic ratios go through floating
-point.
+Schur and Wintner mean-value sums and the squarefree restriction
+inequality.  Identity checks use exact integer or rational arithmetic; only
+diagnostic ratios go through floating point.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .cornacchia import INERT, RAMIFIED, SPLIT, solve_norm, splitting_type
+from .cornacchia import RAMIFIED, SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve
 from .frobenius import PrimeRecord, dp_ep
 from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
@@ -270,17 +269,9 @@ def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
     us = units(order)
     count = 0
     for p in primes_upto(x):
-        st = splitting_type(p, order)
-        if st == INERT:
-            if p * p > x:
+        for gen in prime_elements_above(p, order):
+            if norm(gen) > x:
                 continue
-            gens = [QuadInt(p, 0, order)]
-        elif st == SPLIT:
-            pi0 = solve_norm(p, order)
-            gens = [pi0, conj(pi0)]
-        else:
-            gens = [_ramified_generator(order, p)]
-        for gen in gens:
             for u in us:
                 if qi_divides(mu, u * gen - alpha):
                     count += 1
@@ -396,28 +387,6 @@ def trivlem_check(
     for p, _ in factorize(k):
         rhs /= 1 + gfun(p)
     return TrivlemResult(lhs, rhs, lhs >= rhs)
-
-
-# --- Tail table for the normal size of d_p -----------------------------------
-
-
-def duke_tail(
-    records: list[PrimeRecord],
-    thresholds: Iterable[float],
-    xs: Iterable[int] | None = None,
-) -> list[tuple[int, float, int, int, float]]:
-    """Rows (x, T, #{good p <= x: d_p > T}, #good p <= x, fraction)."""
-    recs = sorted((r for r in records if r.kind != "bad"), key=lambda r: r.p)
-    if xs is None:
-        xs = [recs[-1].p] if recs else []
-    rows = []
-    for x in xs:
-        good = [r for r in recs if r.p <= x]
-        denom = len(good)
-        for T in thresholds:
-            num = sum(1 for r in good if r.d_p > T)
-            rows.append((x, T, num, denom, num / denom if denom else 0.0))
-    return rows
 
 
 # --- Logarithmic integral -----------------------------------------------------

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from cmfactors import cornacchia
 from cmfactors.cornacchia import (
     INERT,
     RAMIFIED,
@@ -12,8 +14,19 @@ from cmfactors.cornacchia import (
     splitting_type,
     sqrt_mod,
 )
+from cmfactors.eccurve import get_curve
 from cmfactors.primesieve import primes_array
-from cmfactors.quadorder import QuadInt, all_orders, conj, maximal_orders, norm, order, units
+from cmfactors.stats import scan
+from cmfactors.quadorder import (
+    QuadInt,
+    all_orders,
+    conj,
+    kronecker,
+    maximal_orders,
+    norm,
+    order,
+    units,
+)
 
 O1 = order(-1)
 O3 = order(-3)
@@ -99,6 +112,52 @@ def test_solve_norm_all_split_primes_to_1e5():
                 assert result.order == od
             else:
                 assert result is None, (od, p)
+
+
+def _norm_p_points(p, od):
+    """Every (a, b) with Nm(a + b*beta) = p, walking the rows of 4*Nm = u^2 + |D| b^2."""
+    t, d = od.beta_trace, -od.disc
+    points = []
+    bmax = math.isqrt(4 * p // d)
+    for b in range(-bmax, bmax + 1):
+        rest = 4 * p - d * b * b
+        s = math.isqrt(rest)
+        if s * s != rest:
+            continue
+        for u in {s, -s}:
+            if (u - b * t) % 2 == 0:
+                points.append(((u - b * t) // 2, b))
+    assert all(norm(QuadInt(a, b, od)) == p for a, b in points)
+    return points
+
+
+def test_solve_norm_is_the_canonical_lattice_point():
+    # solve_norm is the largest norm-p point under _canonicalize's key, and
+    # None exactly when p is ramified in the order or no such point exists.
+    for od in all_orders():
+        for p in primes_array(3000).tolist():
+            if od.f > 1 and (p % od.f == 0 or p <= 3):
+                continue
+            result = solve_norm(p, od)
+            points = _norm_p_points(p, od)
+            if od.disc % p == 0 or not points:
+                assert result is None, (od, p)
+                continue
+            best = max(points, key=lambda z: (z[0] > 0 and z[1] > 0, z[0], z[1]))
+            assert (result.a, result.b) == best, (od, p)
+
+
+def test_scan_tests_splitting_once_per_prime(monkeypatch):
+    calls = []
+
+    def counting_kronecker(delta, n):
+        calls.append(n)
+        return kronecker(delta, n)
+
+    monkeypatch.setattr(cornacchia, "kronecker", counting_kronecker)
+    acc = scan(get_curve("D4"), 10**5)
+    assert acc.pi_x == 9592
+    assert len(calls) <= acc.pi_x
 
 
 def test_canonicalize_matches_quadint_reference():

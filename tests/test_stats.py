@@ -14,7 +14,6 @@ from cmfactors.stats import (
     bt_ratio,
     comaximal,
     decomposition_check,
-    duke_tail,
     li,
     merge,
     phi_element,
@@ -269,27 +268,6 @@ def test_trivlem_randomized():
         t = rng.randint(1, 1000)
         res = trivlem_check(lambda p: gmap[p], k, t)
         assert res.holds
-
-
-# --- tail table -------------------------------------------------------------------
-
-
-def test_duke_tail_examples(curve_d4):
-    _, records = _scan_with_records(curve_d4, 20)
-    rows = duke_tail(records, [1, 3, math.sqrt(20) + 1])
-    by_T = {row[1]: row for row in rows}
-    assert by_T[1][4] == 1.0
-    assert by_T[3][2] == 1 and by_T[3][3] == 7
-    assert by_T[math.sqrt(20) + 1][4] == 0.0
-
-
-def test_duke_tail_multiple_checkpoints(curve_d4):
-    _, records = _scan_with_records(curve_d4, 100)
-    rows = duke_tail(records, [2], xs=[20, 100])
-    assert [r[0] for r in rows] == [20, 100]
-    for _, _, num, den, frac in rows:
-        assert 0 <= num <= den
-        assert frac == num / den
 
 
 # --- logarithmic integral ----------------------------------------------------------
