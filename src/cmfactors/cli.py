@@ -22,11 +22,11 @@ from fractions import Fraction
 
 from . import stats
 from .eccurve import CmCurve, custom_curve, get_curve, load_table
-from .frobenius import AmbiguousFrobenius, dp_ep, validate_curve
+from .frobenius import KINDS, AmbiguousFrobenius, dp_ep, validate_curve
 from .oracle import ENUMERATION_BOUND, group_structure
 from .primesieve import primes_upto
 from .quadorder import QuadInt, order
-from .stats import SumAccumulator, scan
+from .stats import RecordBlock, SumAccumulator, scan
 
 CSV_HEADER = "p,kind,a_p,pi_a,pi_b,N,d_p,e_p"
 
@@ -76,6 +76,13 @@ def _record_line(rec) -> str:
         f"{rec.p},{rec.kind},{rec.a_p},{rec.pi_a},{rec.pi_b},"
         f"{rec.N},{rec.d_p},{rec.e_p}"
     )
+
+
+def _block_text(block: RecordBlock) -> str:
+    """The CSV rows of a scan's RecordBlock, formatted from its columns."""
+    cols = block.rows.T.tolist()
+    cols[1] = [KINDS[k] for k in cols[1]]
+    return "".join(map("{},{},{},{},{},{},{},{}\n".format, *cols))
 
 
 def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:
@@ -151,7 +158,7 @@ def cmd_scan(args) -> int:
             args.xmax,
             checkpoints=checkpoints,
             workers=args.workers,
-            records=lambda recs: csv_fh.writelines(_record_line(r) + "\n" for r in recs),
+            records=lambda block: csv_fh.write(_block_text(block)),
         )
         text = _summary_text(curve, seed, acc, args.xmax)
         summary_fh.write(text + "\n")

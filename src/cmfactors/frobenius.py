@@ -72,17 +72,19 @@ def _default_rng(p: int) -> random.Random:
     return random.Random(f"cmfactors:{p}")
 
 
-def frobenius_at(p: int, curve: CmCurve) -> tuple[QuadInt, int]:
+def frobenius_at(p: int, curve: CmCurve, pi0: QuadInt | None = None) -> tuple[QuadInt, int]:
     """The Frobenius element (up to conjugation) and N = #E(F_p).
 
     The packaged residue rule of the curve's model picks the unit multiple
-    of Cornacchia's pi0; a model without a rule goes to frobenius_by_sampling.
+    of Cornacchia's pi0 (solve_norm's element, computed here unless the
+    caller has it); a model without a rule goes to frobenius_by_sampling.
     """
     rule = rule_for(curve)
     if rule is None:
         return frobenius_by_sampling(p, curve)
     od = curve.order
-    pi0 = solve_norm(p, od)
+    if pi0 is None:
+        pi0 = solve_norm(p, od)
     if pi0 is None:
         raise ValueError(f"p={p} is not ordinary for {curve.label}")
     a, b = rule.select(p, pi0.a, pi0.b)
@@ -149,22 +151,26 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, in
 
 
 def dp_ep(p: int, curve: CmCurve) -> PrimeRecord:
-    """The full per-prime record: reduction type, a_p, pi_p, N, d_p, e_p."""
-    kind = classify(p, curve)
-    if kind == BAD:
+    """The full per-prime record: reduction type, a_p, pi_p, N, d_p, e_p.
+
+    For a good p > 3, solve_norm is the one split test: it returns an
+    element of norm p exactly when p is ordinary (split), as in classify.
+    """
+    if p in curve.bad_primes:
         return PrimeRecord(p, BAD, 0, 0, 0, 0, 0, 0)
-    if kind == SMALL:
+    if p <= 3:
         d, e = group_structure(curve, p)
         n = d * e
         return PrimeRecord(p, SMALL, p + 1 - n, 0, 0, n, d, e)
-    if kind == ORDINARY:
-        pi, n = frobenius_at(p, curve)
+    pi0 = solve_norm(p, curve.order)
+    if pi0 is not None:
+        pi, n = frobenius_at(p, curve, pi0)
         a, b = pi.a, pi.b
         d = math.gcd(a - 1, b)  # content(pi - 1)
         return PrimeRecord(p, ORDINARY, p + 1 - n, a, b, n, d, n // d)
-    # Supersingular: N = p + 1 is even, and d_p = 2 exactly when the cubic
-    # splits.  That is full 2-torsion, so 4 | p + 1: testing p = 3 (mod 4)
-    # first skips the modular power at every p = 1 (mod 4).
+    # Supersingular (inert or ramified): N = p + 1 is even, and d_p = 2
+    # exactly when the cubic splits.  That is full 2-torsion, so 4 | p + 1:
+    # testing p = 3 (mod 4) first skips the modular power at every p = 1 (mod 4).
     n = p + 1
     d = 2 if p % 4 == 3 and cubic_splits(curve, p) else 1
     return PrimeRecord(p, SUPERSINGULAR, 0, 0, 0, n, d, n // d)

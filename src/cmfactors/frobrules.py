@@ -23,6 +23,8 @@ import functools
 import math
 from importlib import resources
 
+import numpy as np
+
 from .quadorder import ORDER_PARAMS, order, unit_orbit
 
 PI = "pi"
@@ -43,7 +45,7 @@ class FrobeniusRule:
     since the rule would then not pick a unique unit.
     """
 
-    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_unit_for")
+    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_unit_for", "_tables")
 
     def __init__(self, model: Model, kind: str, modulus: int, residues):
         _, _, g, f = model
@@ -73,6 +75,7 @@ class FrobeniusRule:
                 if unit_for.setdefault(c, inv) != inv:
                     raise ValueError(f"residues {sorted(self.residues)} meet a unit orbit twice")
         self._unit_for = unit_for
+        self._tables = None
 
     def key(self, p: int, a: int, b: int) -> tuple[int, int]:
         """The residue key of pi = a + b*beta (coordinates in the model's order)."""
@@ -80,6 +83,12 @@ class FrobeniusRule:
         if self.kind == TRACE:
             return (self._chi[(2 * a + b * od.beta_trace) % self.modulus], p % TRACE_P_MODULUS)
         return (a % self.modulus, od.f * b % self.modulus)
+
+    def _index(self, key):
+        """Position of a key (or of arrays of key parts) in the flat tables of select_arrays."""
+        if self.kind == TRACE:
+            return (key[0] + 1) * TRACE_P_MODULUS + key[1]
+        return key[0] * self.modulus + key[1]
 
     def orbit(self, key: tuple[int, int]) -> list[tuple[int, int]]:
         """The keys of the unit multiples of an element with this key, in units() order."""
@@ -127,6 +136,38 @@ class FrobeniusRule:
         od = self._order
         bb = ub * b
         return (ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace)
+
+
+    def select_arrays(self, p: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """select over int64 arrays: the allowed unit multiples of a + b*beta, as arrays.
+
+        The key -> unit table becomes flat arrays on first use; each element
+        is then one lookup and one product with its unit.
+        """
+        if self._tables is None:
+            size = 3 * TRACE_P_MODULUS if self.kind == TRACE else self.modulus**2
+            known = np.zeros(size, dtype=bool)
+            ua, ub = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+            for key, (x, y) in self._unit_for.items():
+                i = self._index(key)
+                known[i], ua[i], ub[i] = True, x, y
+            chi = np.array(self._chi if self.kind == TRACE else [0], dtype=np.int64)
+            self._tables = (known, ua, ub, chi)
+        known, ua, ub, chi = self._tables
+        od, M = self._order, self.modulus
+        if self.kind == TRACE:
+            idx = self._index((chi[(2 * a + b * od.beta_trace) % M], p % TRACE_P_MODULUS))
+        else:
+            idx = self._index((a % M, od.f * b % M))
+        if not known[idx].all():
+            bad = int(np.flatnonzero(~known[idx])[0])
+            key = self.key(int(p[bad]), int(a[bad]), int(b[bad]))
+            raise ValueError(
+                f"no allowed residue in the unit orbit of key {key} at p={int(p[bad])}"
+            )
+        ua, ub = ua[idx], ub[idx]
+        bb = ub * b
+        return ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace
 
 
 def parse_rules(text: str) -> dict[Model, FrobeniusRule]:

@@ -220,7 +220,11 @@ def kronecker(delta: int, n: int) -> int:
         raise ValueError(f"{delta} is not a supported field discriminant")
     if n < 1:
         raise ValueError("n must be positive")
-    a = delta
+    return _kronecker(delta, n)
+
+
+def _kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a/n) for any integer a and n >= 1; the Jacobi symbol for odd n."""
     result = 1
     while n % 2 == 0:
         if a % 2 == 0:

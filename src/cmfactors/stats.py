@@ -1,16 +1,22 @@
 """Aggregation and the empirical checks built on the per-prime records.
 
-Covers the scan (a streaming fold of dp_ep over fixed ranges of p whose
-mergeable accumulators are combined in order as the ranges complete; the
-records go to a caller's sink, never into one list), the exact divisor
-decomposition of sum d_p, the Brun-Titchmarsh prime-element counter, the
-Schur and Wintner mean-value sums and the squarefree restriction
-inequality.  Identity checks use exact integer or rational arithmetic; only
-diagnostic ratios go through floating point.
+Covers the scan (a streaming fold over fixed ranges of p whose mergeable
+accumulators are combined in order as the ranges complete; the records go
+to a caller's sink, never into one list), the exact divisor decomposition
+of sum d_p, the Brun-Titchmarsh prime-element counter, the Schur and
+Wintner mean-value sums and the squarefree restriction inequality.
+Identity checks use exact integer or rational arithmetic; only diagnostic
+ratios go through floating point.
+
+A range of a model with a residue rule (frobrules) is swept as arrays:
+the lattice points of norm in the range give every ordinary prime at
+once, and the rule and a residue table of p give pi_p and d_p with no
+modular arithmetic.  Any other model runs dp_ep prime by prime.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,12 +27,21 @@ import numpy as np
 
 from .cornacchia import RAMIFIED, SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve
-from .frobenius import PrimeRecord, dp_ep
+from .frobenius import KINDS, ORDINARY, SUPERSINGULAR, PrimeRecord, dp_ep, frobenius_by_sampling
+from .frobrules import rule_for
 from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
-from .quadorder import OrderDesc, QuadInt, conj, norm, units
+from .quadorder import OrderDesc, QuadInt, _kronecker, conj, norm, unit_orbit, units
 
 # Each scan job covers this many consecutive integers.
 CHUNK_SPAN = 1 << 16
+
+# tools/frobenius_rules.py checks the packaged rules up to this bound; a
+# scan beyond it re-derives its GUARD_PRIMES largest ordinary primes by
+# point sampling, which needs no rule.
+RULES_CHECKED_TO = 10**6
+GUARD_PRIMES = 3
+
+_ORD, _SS = KINDS.index(ORDINARY), KINDS.index(SUPERSINGULAR)
 
 
 class Checkpoint(NamedTuple):
@@ -107,6 +122,154 @@ def merge(a: SumAccumulator, b: SumAccumulator) -> SumAccumulator:
     )
 
 
+@dataclass(frozen=True)
+class RecordBlock:
+    """The records of one range as an (n, 8) int64 array, in increasing p.
+
+    Columns follow PrimeRecord's fields, with the kind as its index in
+    frobenius.KINDS.  Iterating yields the PrimeRecords.
+    """
+
+    rows: np.ndarray
+
+    @classmethod
+    def from_records(cls, recs: list[PrimeRecord]) -> "RecordBlock":
+        rows = [(r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p)
+                for r in recs]
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, 8))
+
+    def __iter__(self):
+        for p, k, *rest in self.rows.tolist():
+            yield PrimeRecord(p, KINDS[k], *rest)
+
+    def accumulator(self, lo: int, hi: int, checkpoints) -> SumAccumulator:
+        """The accumulator over [lo, hi], whose primes these rows are."""
+        p, kind, d, e = self.rows[:, 0], self.rows[:, 1], self.rows[:, 6], self.rows[:, 7]
+        counts = np.bincount(kind, minlength=len(KINDS)).tolist()
+        hist_d, hist_n = np.unique(d, return_counts=True)
+        acc = SumAccumulator(
+            x_lo=lo,
+            x_processed=hi,
+            sum_dp=int(d.sum()),
+            sum_ep=int(e.sum()),
+            hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())),
+            **{f"count_{k}": c for k, c in zip(KINDS, counts)},
+        )
+        xs = sorted(x for x in checkpoints if lo <= x <= hi)
+        upto = np.searchsorted(p, xs, side="right")
+        sums_d = np.concatenate(([0], np.cumsum(d)))[upto].tolist()
+        sums_e = np.concatenate(([0], np.cumsum(e)))[upto].tolist()
+        acc.checkpoints = [
+            Checkpoint(*c) for c in zip(xs, sums_d, sums_e, upto.tolist())
+        ]
+        return acc
+
+
+@functools.cache
+def _supersingular_dp(A: int, B: int) -> np.ndarray:
+    """d_p of y^2 = x^3 + Ax + B at a good supersingular p > 3, indexed by p mod 4|s|.
+
+    As in dp_ep, d_p = 2 exactly when p = 3 (mod 4) and the cubic splits
+    (eccurve.cubic_splits), that is when (disc/p) = (s/p) = 1, with s the
+    squarefree part of the cubic's discriminant.  For odd p the Jacobi
+    symbol (s/p) depends only on p mod 4|s|, so a lookup replaces the
+    Euler criterion.
+    """
+    disc = -4 * A**3 - 27 * B**2
+    s = -1 if disc < 0 else 1
+    for q, e in factorize(abs(disc)):
+        s *= q if e % 2 else 1
+    m = 4 * abs(s)
+    return np.array(
+        [2 if r % 4 == 3 and _kronecker(s, r) == 1 else 1 for r in range(m)], dtype=np.int64
+    )
+
+
+def _canonical(a: np.ndarray, b: np.ndarray, od: OrderDesc):
+    """cornacchia._canonicalize over arrays: per element, the largest of its
+    2w unit multiples and their conjugates, open positive quadrant first."""
+    best = None
+    for x, y in unit_orbit(a, b, od) + unit_orbit(a + b * od.beta_trace, -b, od):
+        q = (x > 0) & (y > 0)
+        if best is None:
+            best = (q, x, y)
+            continue
+        bq, bx, by = best
+        better = (q & ~bq) | ((q == bq) & ((x > bx) | ((x == bx) & (y > by))))
+        best = (q | bq, np.where(better, x, bx), np.where(better, y, by))
+    return best[1], best[2]
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) of nonnegative int64 values below 2^52, exactly."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray, tags: np.ndarray):
+    """(x, tag) for every x in range(starts[i], stops[i]), tagged by tags[i]."""
+    counts = np.maximum(stops - starts, 0)
+    shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
+    return np.arange(len(shift), dtype=np.int64) - shift, np.repeat(tags, counts)
+
+
+def _sweep(curve: CmCurve, rule, lo: int, primes: np.ndarray) -> RecordBlock:
+    """The records of `primes` (the primes of one range from lo) for a model with a rule.
+
+    Ordinary primes are the norms Nm(a + b*beta) = a^2 + t*a*b + n*b^2 of
+    lattice points with b >= 1.  Writing u = 2a + t*b, that is
+    4 Nm = u^2 + |D| b^2, so for each b the points with norm in [lo, hi]
+    form two runs of a.  Each split p has w such points, all associates or
+    conjugates of each other; the one equal to cornacchia's canonical
+    element, or to its negative, stands for p.  Bad primes and p <= 3 go
+    through dp_ep.
+    """
+    hi = int(primes[-1]) if len(primes) else lo
+    rows = np.zeros((len(primes), 8), dtype=np.int64)
+    rows[:, 0] = primes
+    scalar = (primes <= 3) | np.isin(primes, list(curve.bad_primes))
+    for i in np.flatnonzero(scalar).tolist():
+        r = dp_ep(int(primes[i]), curve)
+        rows[i] = (r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p)
+    od = curve.order
+    t, n, D = od.beta_trace, od.beta_norm, -od.disc
+    # Good primes > 3 not dividing D, which are ordinary exactly when they are norms.
+    usable = np.zeros(hi - lo + 1, dtype=bool)
+    usable[primes[~scalar & (primes % D != 0)] - lo] = True
+    b = np.arange(1, math.isqrt(4 * hi // D) + 1, dtype=np.int64)
+    top = 4 * hi - D * b * b
+    bottom = 4 * lo - D * b * b
+    umax = _isqrt(top)
+    umin = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 0)
+    tb = t * b
+    # u in [umin, umax] and u in [-umax, -max(umin, 1)], with u = t*b (mod 2).
+    starts = np.concatenate((-((tb - umin) // 2), -((tb + umax) // 2)))
+    stops = np.concatenate(((umax - tb) // 2 + 1, (-np.maximum(umin, 1) - tb) // 2 + 1))
+    a, b = _ranges(starts, stops, np.concatenate((b, b)))
+    norms = a * a + t * a * b + n * b * b
+    hit = usable[norms - lo]
+    a, b, p = a[hit], b[hit], norms[hit]
+    ca, cb = _canonical(a, b, od)
+    stands = ((a == ca) & (b == cb)) | ((a == -ca) & (b == -cb))
+    p, a, b = p[stands], ca[stands], cb[stands]
+    a, b = rule.select_arrays(p, a, b)
+    at = np.searchsorted(primes, p)
+    trace = 2 * a + b * t
+    count, d = p + 1 - trace, np.gcd(a - 1, b)
+    rows[at, 1] = _ORD
+    rows[at, 2:] = np.column_stack((trace, a, b, count, d, count // d))
+    # The rest are supersingular: a_p and pi stay 0.
+    ss = ~scalar
+    ss[at] = False
+    table = _supersingular_dp(curve.A, curve.B)
+    count, d = primes[ss] + 1, table[primes[ss] % len(table)]
+    rows[ss, 1] = _SS
+    rows[ss, 5:] = np.column_stack((count, d, count // d))
+    return RecordBlock(rows)
+
+
 def _scan_chunk(
     curve: CmCurve,
     lo: int,
@@ -114,23 +277,44 @@ def _scan_chunk(
     checkpoints: tuple[int, ...],
     keep: bool,
 ):
-    """The accumulator over the primes in [lo, hi], and their records if keep."""
+    """The accumulator over the primes in [lo, hi], and their RecordBlock if keep."""
+    primes = primes_array(hi, lo=lo)
+    rule = rule_for(curve)
+    if rule is not None:
+        block = _sweep(curve, rule, lo, primes)
+        return block.accumulator(lo, hi, checkpoints), block if keep else None
     acc = SumAccumulator(x_lo=lo, x_processed=hi)
-    recs: list[PrimeRecord] | None = [] if keep else None
+    recs: list[PrimeRecord] = []
     pending = sorted(x for x in checkpoints if lo <= x <= hi)
     ci = 0
-    for p in primes_array(hi, lo=lo).tolist():
+    for p in primes.tolist():
         while ci < len(pending) and pending[ci] < p:
             acc.snapshot(pending[ci])
             ci += 1
         rec = dp_ep(p, curve)
         acc.accumulate(rec)
-        if recs is not None:
+        if keep:
             recs.append(rec)
     while ci < len(pending):
         acc.snapshot(pending[ci])
         ci += 1
-    return acc, recs
+    return acc, RecordBlock.from_records(recs) if keep else None
+
+
+def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
+    """Re-derive the largest ordinary rows of a block by point sampling.
+
+    The rules are data checked only up to RULES_CHECKED_TO; sampling needs
+    no rule, so agreement at the top of a longer scan is evidence that the
+    rule still holds there.  Raises ArithmeticError on a mismatch.
+    """
+    ordinary = block.rows[block.rows[:, 1] == _ORD]
+    for p, _, _, a, b, n, _, _ in ordinary[-GUARD_PRIMES:].tolist():
+        pi, n_ref = frobenius_by_sampling(p, curve)
+        if (pi.a, pi.b, n_ref) != (a, b, n):
+            raise ArithmeticError(
+                f"the Frobenius rule of {curve.label} disagrees with point sampling at p={p}"
+            )
 
 
 def _scan_chunk_star(args):
@@ -142,33 +326,39 @@ def scan(
     x_max: int,
     checkpoints: Iterable[int] = (),
     workers: int = 1,
-    records: Callable[[list[PrimeRecord]], object] | None = None,
+    records: Callable[[RecordBlock], object] | None = None,
 ) -> SumAccumulator:
-    """Fold dp_ep over all primes <= x_max and return the accumulator.
+    """Every prime <= x_max's record, folded into one accumulator.
 
     [2, x_max] is cut into ranges of CHUNK_SPAN integers; each job sieves
     its own range.  Chunk results are merged in increasing order as they
-    arrive, and `records`, if given, is called with each chunk's records
-    (increasing p), so memory does not grow with x_max.  Every value is
-    exact and depends on no random stream, so records and accumulator are
-    the same at any worker count and chunk span.
+    arrive, and `records`, if given, is called with each chunk's
+    RecordBlock (iterating it yields the PrimeRecords in increasing p), so
+    memory does not grow with x_max.  Every value is exact and depends on
+    no random stream, so records and accumulator are the same at any worker
+    count and chunk span.  Past RULES_CHECKED_TO, a model with a rule has
+    the top of its last range checked by point sampling.
     """
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
     keep = records is not None
+    guard = x_max > RULES_CHECKED_TO and rule_for(curve) is not None
     jobs = [
-        (curve, lo, min(lo + CHUNK_SPAN - 1, x_max), cps, keep)
+        (curve, lo, min(lo + CHUNK_SPAN - 1, x_max), cps,
+         keep or (guard and lo + CHUNK_SPAN > x_max))
         for lo in range(2, x_max + 1, CHUNK_SPAN)
     ]
     parallel = workers > 1 and len(jobs) > 1
     acc = None
     with Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
         parts = pool.imap(_scan_chunk_star, jobs) if parallel else map(_scan_chunk_star, jobs)
-        for part, recs in parts:
+        for part, block in parts:
             acc = part if acc is None else merge(acc, part)
             if keep:
-                records(recs)
+                records(block)
+    if guard:
+        _check_rule_at_top(curve, block)
     return acc
 
 

@@ -206,7 +206,7 @@ def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
     assert stdout == ""
 
 
-def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):
+def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, monkeypatch):
     def ambiguous(p, curve):
         if p > 50:
             raise AmbiguousFrobenius(p)
@@ -216,9 +216,14 @@ def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(stats, "dp_ep", ambiguous)
     # Small chunks, so rows below p = 50 reach the temp CSV before the failure.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 16)
+    # The twist y^2 = x^3 - 4x has no residue rule, so its scan runs dp_ep
+    # per prime, the only path that can meet an ambiguous Frobenius.
+    table = tmp_path_factory.mktemp("table") / "table.txt"
+    table.write_text("j1728-D4 -4 0 -1 1 2\n")
     out = tmp_path / "r.csv"
     code, stdout, err = run(
-        capsys, "scan", "--curve", "D4", "--xmax", "100", "--workers", "1", "--out", str(out)
+        capsys, "scan", "--table", str(table), "--curve", "j1728-D4", "--xmax", "100",
+        "--workers", "1", "--out", str(out),
     )
     assert code == 3
     assert err == "ambiguous Frobenius at p=53\n"

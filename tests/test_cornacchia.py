@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,8 +16,8 @@ from cmfactors.cornacchia import (
     sqrt_mod,
 )
 from cmfactors.eccurve import get_curve
+from cmfactors.frobenius import dp_ep
 from cmfactors.primesieve import primes_array
-from cmfactors.stats import scan
 from cmfactors.quadorder import (
     QuadInt,
     all_orders,
@@ -148,16 +149,26 @@ def test_solve_norm_is_the_canonical_lattice_point():
 
 
 def test_scan_tests_splitting_once_per_prime(monkeypatch):
+    # The scalar path: dp_ep decides splitting by solve_norm's square root
+    # alone, with no Kronecker symbol before it.
     calls = []
 
     def counting_kronecker(delta, n):
         calls.append(n)
         return kronecker(delta, n)
 
+    def counting_sqrt_mod(a, p):
+        calls.append(p)
+        return sqrt_mod(a, p)
+
     monkeypatch.setattr(cornacchia, "kronecker", counting_kronecker)
-    acc = scan(get_curve("D4"), 10**5)
-    assert acc.pi_x == 9592
-    assert len(calls) <= acc.pi_x
+    monkeypatch.setattr(cornacchia, "sqrt_mod", counting_sqrt_mod)
+    curve = get_curve("D4")
+    primes = primes_array(10**5).tolist()
+    kinds = Counter(dp_ep(p, curve).kind for p in primes)
+    assert sum(kinds.values()) == 9592 and kinds["ord"] == 4783
+    assert max(Counter(calls).values()) == 1
+    assert len(calls) == len(primes) - 2  # every p > 3; 2 is bad, 3 small
 
 
 def test_canonicalize_matches_quadint_reference():

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cmfactors.eccurve import get_curve
-from cmfactors.primesieve import euler_phi, factorize
+from cmfactors.eccurve import cubic_splits, curve_table, get_curve
+from cmfactors.frobenius import classify
+from cmfactors.frobrules import FrobeniusRule
+from cmfactors.primesieve import euler_phi, factorize, primes_upto
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
 from cmfactors import stats
 from cmfactors.stats import (
@@ -133,6 +138,77 @@ def test_scan_sieves_one_chunk_at_a_time(curve_d4, monkeypatch):
     acc = scan(curve_d4, 10**5, workers=1)
     assert acc.pi_x == 9592
     assert spans and max(spans) <= stats.CHUNK_SPAN
+
+
+def _random_spans(rng, x):
+    """[2, 2], [3, <16], then spans of random length, some under 16, up to x."""
+    spans = [(2, 2), (3, 3 + rng.randint(0, 12))]
+    while spans[-1][1] < x:
+        lo = spans[-1][1] + 1
+        size = rng.randint(1, 15) if rng.random() < 0.3 else rng.randint(16, 6000)
+        spans.append((lo, min(lo + size - 1, x)))
+    return spans
+
+
+@pytest.mark.parametrize("curve", curve_table(), ids=lambda c: c.label)
+def test_sweep_matches_dp_ep_loop(curve, monkeypatch):
+    # The sweep against the per-prime dp_ep loop, the exact path, which a
+    # model without a rule takes: records and accumulators, every p <= 1e5.
+    rng = random.Random(f"sweep:{curve.label}")
+    swept, looped = [], []
+    for lo, hi in _random_spans(rng, 10**5):
+        cps = tuple(rng.randint(lo, hi) for _ in range(2))
+        with monkeypatch.context() as m:
+            m.setattr(stats, "rule_for", lambda c: None)
+            loop_acc, loop_block = _scan_chunk(curve, lo, hi, cps, True)
+        acc, block = _scan_chunk(curve, lo, hi, cps, True)
+        assert acc == loop_acc, (curve.label, lo, hi)
+        swept.extend(block)
+        looped.extend(loop_block)
+    assert len(swept) == 9592
+    assert swept == looped
+
+
+def test_supersingular_table_matches_cubic_splits():
+    for curve in curve_table():
+        table = stats._supersingular_dp(curve.A, curve.B)
+        for p in primes_upto(10**5):
+            if p > 3 and p not in curve.bad_primes and classify(p, curve) == "ss":
+                assert (table[p % len(table)] == 2) == cubic_splits(curve, p), (curve.label, p)
+
+
+def test_scan_past_checked_range_samples_its_top_primes(curve_d4, monkeypatch):
+    sampled = []
+    sampling = stats.frobenius_by_sampling
+    monkeypatch.setattr(
+        stats, "frobenius_by_sampling", lambda p, curve: sampled.append(p) or sampling(p, curve)
+    )
+    x = stats.RULES_CHECKED_TO + 100
+    scan(curve_d4, x)
+    assert len(sampled) == stats.GUARD_PRIMES
+    assert sampled == sorted(sampled) and x - 1000 < sampled[0] < sampled[-1] <= x
+    sampled.clear()
+    scan(curve_d4, stats.RULES_CHECKED_TO)
+    assert sampled == []
+
+
+def test_scan_catches_a_corrupted_rule(curve_d4, monkeypatch):
+    # -1 times the true rule's residues: consistent, complete and wrong
+    # (it picks -pi_p), so only the sampling check can see it.
+    wrong = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(3, 0), (1, 2)])
+    monkeypatch.setattr(stats, "rule_for", lambda curve: wrong)
+    with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
+        scan(curve_d4, stats.RULES_CHECKED_TO + 100)
+
+
+def test_sweep_check_tool_imports():
+    # --help exits before any scan runs, so this only checks that the
+    # tool's imports from cmfactors resolve.
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "sweep_check.py")
+    out = subprocess.run([sys.executable, tool, "--help"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "XMAX" in out.stdout
 
 
 # --- decomposition identity ----------------------------------------------------
