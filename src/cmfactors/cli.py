@@ -36,6 +36,8 @@ def _default_seed() -> int:
 
 
 def _resolve_curve(args) -> CmCurve:
+    if getattr(args, "custom", None) and (args.curve or args.table):
+        raise SystemExit2("--custom cannot be combined with --curve or --table")
     table = None
     if getattr(args, "table", None):
         try:

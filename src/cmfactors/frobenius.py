@@ -77,22 +77,22 @@ def frobenius_at(p: int, curve: CmCurve, pi0: QuadInt | None = None) -> tuple[Qu
 
     The packaged residue rule of the curve's model picks the unit multiple
     of Cornacchia's pi0 (solve_norm's element, computed here unless the
-    caller has it); a model without a rule goes to frobenius_by_sampling.
+    caller has it); a model without a rule hands pi0 to frobenius_by_sampling.
     """
-    rule = rule_for(curve)
-    if rule is None:
-        return frobenius_by_sampling(p, curve)
     od = curve.order
     if pi0 is None:
         pi0 = solve_norm(p, od)
     if pi0 is None:
         raise ValueError(f"p={p} is not ordinary for {curve.label}")
+    rule = rule_for(curve)
+    if rule is None:
+        return frobenius_by_sampling(p, curve, pi0=pi0)
     a, b = rule.select(p, pi0.a, pi0.b)
     pi = pi0 if (a, b) == (pi0.a, pi0.b) else QuadInt(a, b, od)
     return pi, p + 1 - 2 * a - b * od.beta_trace
 
 
-def frobenius_by_sampling(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, int]:
+def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[QuadInt, int]:
     """frobenius_at by testing each unit multiple against random points.
 
     The exact slow path: it needs no rule, so it serves models outside the
@@ -103,11 +103,12 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None) -> tuple[QuadInt, in
     (p+1)P = t_u P, then, among survivors, by the claimed exponent
     e_u P = infinity.  If sampling stalls, an exact point count settles it;
     only an impossible mismatch raises.  Without `rng`, the generator is
-    seeded by p alone.
+    seeded by p alone; without `pi0`, solve_norm gives the norm-p element.
     """
     if rng is None:
         rng = _default_rng(p)
-    pi0 = solve_norm(p, curve.order)
+    if pi0 is None:
+        pi0 = solve_norm(p, curve.order)
     if pi0 is None:
         raise ValueError(f"p={p} is not ordinary for {curve.label}")
     cands = []

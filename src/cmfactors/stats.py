@@ -8,10 +8,10 @@ Wintner mean-value sums and the squarefree restriction inequality.
 Identity checks use exact integer or rational arithmetic; only diagnostic
 ratios go through floating point.
 
-A range of a model with a residue rule (frobrules) is swept as arrays:
-the lattice points of norm in the range give every ordinary prime at
-once, and the rule and a residue table of p give pi_p and d_p with no
-modular arithmetic.  Any other model runs dp_ep prime by prime.
+Every range is swept as arrays: its lattice points of prime norm give the
+ordinary primes with Cornacchia's element, whose unit a residue rule
+(frobrules) or, for a model without one, point sampling picks; residue
+tables of p give the supersingular d_p.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .eccurve import CmCurve
 from .frobenius import KINDS, ORDINARY, SUPERSINGULAR, PrimeRecord, dp_ep, frobenius_by_sampling
 from .frobrules import rule_for
 from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
-from .quadorder import OrderDesc, QuadInt, _kronecker, conj, norm, unit_orbit, units
+from .quadorder import OrderDesc, QuadInt, conj, norm, unit_orbit, units
 
 # Each scan job covers this many consecutive integers.
 CHUNK_SPAN = 1 << 16
@@ -132,12 +132,6 @@ class RecordBlock:
 
     rows: np.ndarray
 
-    @classmethod
-    def from_records(cls, recs: list[PrimeRecord]) -> "RecordBlock":
-        rows = [(r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p)
-                for r in recs]
-        return cls(np.array(rows, dtype=np.int64).reshape(-1, 8))
-
     def __iter__(self):
         for p, k, *rest in self.rows.tolist():
             yield PrimeRecord(p, KINDS[k], *rest)
@@ -166,23 +160,34 @@ class RecordBlock:
 
 
 @functools.cache
-def _supersingular_dp(A: int, B: int) -> np.ndarray:
-    """d_p of y^2 = x^3 + Ax + B at a good supersingular p > 3, indexed by p mod 4|s|.
+def _squares(q: int) -> np.ndarray:
+    """Whether each residue mod the odd prime q is a nonzero square."""
+    table = np.zeros(q, dtype=bool)
+    x = np.arange(1, q // 2 + 1, dtype=np.int64)
+    table[x * x % q] = True
+    return table
 
-    As in dp_ep, d_p = 2 exactly when p = 3 (mod 4) and the cubic splits
-    (eccurve.cubic_splits), that is when (disc/p) = (s/p) = 1, with s the
-    squarefree part of the cubic's discriminant.  For odd p the Jacobi
-    symbol (s/p) depends only on p mod 4|s|, so a lookup replaces the
-    Euler criterion.
+
+def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
+    """d_p of the curve at good supersingular primes p > 3, by table lookups.
+
+    As in dp_ep, d_p = 2 exactly when p = 3 (mod 4) and (disc/p) = 1
+    (eccurve.cubic_splits).  The primes dividing disc are bad, so (disc/p)
+    is (-1/p) if disc < 0 times (q/p) over the bad q dividing disc to an
+    odd power.  For p = 3 (mod 4), (-1/p) = -1, (2/p) = 1 iff p = 7 (mod 8)
+    and, by reciprocity, (q/p) = (-p/q) for odd q: a lookup in a table of size q.
     """
-    disc = -4 * A**3 - 27 * B**2
-    s = -1 if disc < 0 else 1
-    for q, e in factorize(abs(disc)):
-        s *= q if e % 2 else 1
-    m = 4 * abs(s)
-    return np.array(
-        [2 if r % 4 == 3 and _kronecker(s, r) == 1 else 1 for r in range(m)], dtype=np.int64
-    )
+    disc = -4 * curve.A**3 - 27 * curve.B**2
+    nonsquare = np.full(len(p), disc < 0)
+    for q in sorted(curve.bad_primes):
+        odd = False
+        while disc % q == 0:
+            disc, odd = disc // q, not odd
+        if odd:
+            nonsquare ^= p % 8 == 3 if q == 2 else ~_squares(q)[-p % q]
+    if abs(disc) != 1:
+        raise ValueError(f"the bad primes of {curve.label} do not cover its discriminant")
+    return np.where((p % 4 == 3) & ~nonsquare, 2, 1)
 
 
 def _canonical(a: np.ndarray, b: np.ndarray, od: OrderDesc):
@@ -215,16 +220,19 @@ def _ranges(starts: np.ndarray, stops: np.ndarray, tags: np.ndarray):
     return np.arange(len(shift), dtype=np.int64) - shift, np.repeat(tags, counts)
 
 
-def _sweep(curve: CmCurve, rule, lo: int, primes: np.ndarray) -> RecordBlock:
-    """The records of `primes` (the primes of one range from lo) for a model with a rule.
+def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
+    """The records of `primes`, the primes of one range from lo.
 
     Ordinary primes are the norms Nm(a + b*beta) = a^2 + t*a*b + n*b^2 of
     lattice points with b >= 1.  Writing u = 2a + t*b, that is
     4 Nm = u^2 + |D| b^2, so for each b the points with norm in [lo, hi]
     form two runs of a.  Each split p has w such points, all associates or
     conjugates of each other; the one equal to cornacchia's canonical
-    element, or to its negative, stands for p.  Bad primes and p <= 3 go
-    through dp_ep.
+    element, or to its negative, stands for p, with the canonical element.
+    The unit comes from the model's residue rule or else from
+    frobenius_by_sampling, called in increasing p so that an
+    AmbiguousFrobenius names the smallest such p.  Bad primes and p <= 3
+    go through dp_ep.
     """
     hi = int(primes[-1]) if len(primes) else lo
     rows = np.zeros((len(primes), 8), dtype=np.int64)
@@ -254,7 +262,15 @@ def _sweep(curve: CmCurve, rule, lo: int, primes: np.ndarray) -> RecordBlock:
     ca, cb = _canonical(a, b, od)
     stands = ((a == ca) & (b == cb)) | ((a == -ca) & (b == -cb))
     p, a, b = p[stands], ca[stands], cb[stands]
-    a, b = rule.select_arrays(p, a, b)
+    rule = rule_for(curve)
+    if rule is not None:
+        a, b = rule.select_arrays(p, a, b)
+    else:
+        by_p = np.argsort(p)
+        p, a, b = p[by_p], a[by_p], b[by_p]
+        pis = [frobenius_by_sampling(q, curve, pi0=QuadInt(x, y, od))[0]
+               for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())]
+        a, b = np.array([(pi.a, pi.b) for pi in pis], dtype=np.int64).reshape(-1, 2).T
     at = np.searchsorted(primes, p)
     trace = 2 * a + b * t
     count, d = p + 1 - trace, np.gcd(a - 1, b)
@@ -263,42 +279,16 @@ def _sweep(curve: CmCurve, rule, lo: int, primes: np.ndarray) -> RecordBlock:
     # The rest are supersingular: a_p and pi stay 0.
     ss = ~scalar
     ss[at] = False
-    table = _supersingular_dp(curve.A, curve.B)
-    count, d = primes[ss] + 1, table[primes[ss] % len(table)]
+    count, d = primes[ss] + 1, _supersingular_dp(curve, primes[ss])
     rows[ss, 1] = _SS
     rows[ss, 5:] = np.column_stack((count, d, count // d))
     return RecordBlock(rows)
 
 
-def _scan_chunk(
-    curve: CmCurve,
-    lo: int,
-    hi: int,
-    checkpoints: tuple[int, ...],
-    keep: bool,
-):
+def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], keep: bool):
     """The accumulator over the primes in [lo, hi], and their RecordBlock if keep."""
-    primes = primes_array(hi, lo=lo)
-    rule = rule_for(curve)
-    if rule is not None:
-        block = _sweep(curve, rule, lo, primes)
-        return block.accumulator(lo, hi, checkpoints), block if keep else None
-    acc = SumAccumulator(x_lo=lo, x_processed=hi)
-    recs: list[PrimeRecord] = []
-    pending = sorted(x for x in checkpoints if lo <= x <= hi)
-    ci = 0
-    for p in primes.tolist():
-        while ci < len(pending) and pending[ci] < p:
-            acc.snapshot(pending[ci])
-            ci += 1
-        rec = dp_ep(p, curve)
-        acc.accumulate(rec)
-        if keep:
-            recs.append(rec)
-    while ci < len(pending):
-        acc.snapshot(pending[ci])
-        ci += 1
-    return acc, RecordBlock.from_records(recs) if keep else None
+    block = _sweep(curve, lo, primes_array(hi, lo=lo))
+    return block.accumulator(lo, hi, checkpoints), block if keep else None
 
 
 def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
@@ -306,7 +296,9 @@ def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
 
     The rules are data checked only up to RULES_CHECKED_TO; sampling needs
     no rule, so agreement at the top of a longer scan is evidence that the
-    rule still holds there.  Raises ArithmeticError on a mismatch.
+    rule still holds there.  Sampling solves its own norm equation, so the
+    check does not rest on the sweep's lattice points.  Raises
+    ArithmeticError on a mismatch.
     """
     ordinary = block.rows[block.rows[:, 1] == _ORD]
     for p, _, _, a, b, n, _, _ in ordinary[-GUARD_PRIMES:].tolist():
@@ -330,14 +322,15 @@ def scan(
 ) -> SumAccumulator:
     """Every prime <= x_max's record, folded into one accumulator.
 
-    [2, x_max] is cut into ranges of CHUNK_SPAN integers; each job sieves
-    its own range.  Chunk results are merged in increasing order as they
+    [2, x_max] is cut into ranges of CHUNK_SPAN integers, counted down from
+    x_max so that only the first may be shorter; each job sieves its own
+    range.  Chunk results are merged in increasing order as they
     arrive, and `records`, if given, is called with each chunk's
     RecordBlock (iterating it yields the PrimeRecords in increasing p), so
     memory does not grow with x_max.  Every value is exact and depends on
     no random stream, so records and accumulator are the same at any worker
     count and chunk span.  Past RULES_CHECKED_TO, a model with a rule has
-    the top of its last range checked by point sampling.
+    the top of its last range, a full one, checked by point sampling.
     """
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
@@ -345,9 +338,8 @@ def scan(
     keep = records is not None
     guard = x_max > RULES_CHECKED_TO and rule_for(curve) is not None
     jobs = [
-        (curve, lo, min(lo + CHUNK_SPAN - 1, x_max), cps,
-         keep or (guard and lo + CHUNK_SPAN > x_max))
-        for lo in range(2, x_max + 1, CHUNK_SPAN)
+        (curve, max(hi - CHUNK_SPAN + 1, 2), hi, cps, keep or (guard and hi == x_max))
+        for hi in reversed(range(x_max, 1, -CHUNK_SPAN))
     ]
     parallel = workers > 1 and len(jobs) > 1
     acc = None

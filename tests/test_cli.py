@@ -185,6 +185,8 @@ def test_table_override_scan(tmp_path, capsys):
         ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
+        ["scan", "--curve", "D163", "--custom=-1,0,-1,1", "--xmax", "100"],
+        ["scan", "--table", "TABLE", "--custom=-1,0,-1,1", "--xmax", "100"],
     ],
     ids=[
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
@@ -192,13 +194,15 @@ def test_table_override_scan(tmp_path, capsys):
         "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
         "bt-g-5", "bt-mu-not-integer", "trivlem-trials-negative",
         "out-unwritable", "workers-0", "workers-negative",
+        "custom-with-curve", "custom-with-table",
     ],
 )
 def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
-    if "SINGULAR_TABLE" in argv:
-        table = tmp_path / "table.txt"
-        table.write_text("sing 0 0 -1 1 2\n")
-        argv = [str(table) if a == "SINGULAR_TABLE" else a for a in argv]
+    for name, text in (("SINGULAR_TABLE", "sing 0 0 -1 1 2\n"), ("TABLE", "mine -1 0 -1 1 2\n")):
+        if name in argv:
+            table = tmp_path / "table.txt"
+            table.write_text(text)
+            argv = [str(table) if a == name else a for a in argv]
     argv = [str(tmp_path / "missing" / "x.csv") if a == "UNWRITABLE_PATH" else a for a in argv]
     code, stdout, err = run(capsys, *argv)
     assert code == 2
@@ -207,17 +211,18 @@ def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
 
 
 def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, monkeypatch):
-    def ambiguous(p, curve):
+    def ambiguous(p, curve, rng=None, pi0=None):
         if p > 50:
             raise AmbiguousFrobenius(p)
-        return real(p, curve)
+        return real(p, curve, rng, pi0)
 
-    real = stats.dp_ep
-    monkeypatch.setattr(stats, "dp_ep", ambiguous)
+    real = stats.frobenius_by_sampling
+    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
     # Small chunks, so rows below p = 50 reach the temp CSV before the failure.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 16)
-    # The twist y^2 = x^3 - 4x has no residue rule, so its scan runs dp_ep
-    # per prime, the only path that can meet an ambiguous Frobenius.
+    # The twist y^2 = x^3 - 4x has no residue rule, so its sweep hands each
+    # ordinary p to point sampling, the only path that can meet an
+    # ambiguous Frobenius.
     table = tmp_path_factory.mktemp("table") / "table.txt"
     table.write_text("j1728-D4 -4 0 -1 1 2\n")
     out = tmp_path / "r.csv"

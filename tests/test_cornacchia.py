@@ -15,7 +15,7 @@ from cmfactors.cornacchia import (
     splitting_type,
     sqrt_mod,
 )
-from cmfactors.eccurve import get_curve
+from cmfactors.eccurve import custom_curve, get_curve
 from cmfactors.frobenius import dp_ep
 from cmfactors.primesieve import primes_array
 from cmfactors.quadorder import (
@@ -150,7 +150,8 @@ def test_solve_norm_is_the_canonical_lattice_point():
 
 def test_scan_tests_splitting_once_per_prime(monkeypatch):
     # The scalar path: dp_ep decides splitting by solve_norm's square root
-    # alone, with no Kronecker symbol before it.
+    # alone, with no Kronecker symbol before it.  The twist x^3 - 4x has no
+    # residue rule, and its point sampling reuses that element.
     calls = []
 
     def counting_kronecker(delta, n):
@@ -169,6 +170,13 @@ def test_scan_tests_splitting_once_per_prime(monkeypatch):
     assert sum(kinds.values()) == 9592 and kinds["ord"] == 4783
     assert max(Counter(calls).values()) == 1
     assert len(calls) == len(primes) - 2  # every p > 3; 2 is bad, 3 small
+    calls.clear()
+    twist = custom_curve(-4, 0, -1, 1)
+    primes = primes_array(10**4).tolist()
+    kinds = Counter(dp_ep(p, twist).kind for p in primes)
+    assert twist.bad_primes == {2} and kinds["ord"] == 609
+    assert max(Counter(calls).values()) == 1
+    assert len(calls) == len(primes) - 2
 
 
 def test_canonicalize_matches_quadint_reference():

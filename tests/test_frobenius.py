@@ -189,7 +189,8 @@ def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
     sampled = []
     monkeypatch.setattr(
         "cmfactors.frobenius.frobenius_by_sampling",
-        lambda p, curve, rng=None: sampled.append(p) or frobenius_by_sampling(p, curve, rng),
+        lambda p, curve, rng=None, pi0=None: (
+            sampled.append(p) or frobenius_by_sampling(p, curve, rng, pi0)),
     )
     assert validate_curve(twist, 2000) == []
     assert 5 in sampled

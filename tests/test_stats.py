@@ -5,10 +5,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cmfactors.eccurve import cubic_splits, curve_table, get_curve
-from cmfactors.frobenius import classify
+from cmfactors.eccurve import CmCurve, cubic_splits, curve_table, custom_curve, get_curve
+from cmfactors.frobenius import AmbiguousFrobenius, classify, dp_ep
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
@@ -120,9 +121,9 @@ def test_parallel_scan_matches_serial(curve_d4, monkeypatch):
 def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
     reference = _scan_with_records(curve_d4, 100, checkpoints=[91])
     monkeypatch.setattr(stats, "CHUNK_SPAN", 4)
-    # The chunks are [2, 5], [6, 9], ..., and [90, 93] holds no prime.
-    assert 90 in range(2, 101, stats.CHUNK_SPAN)
-    assert len(stats.primes_array(93, lo=90)) == 0
+    # The chunks are [2, 4], [5, 8], ..., [97, 100], and [93, 96] holds no prime.
+    assert 96 in range(100, 1, -stats.CHUNK_SPAN)
+    assert len(stats.primes_array(96, lo=93)) == 0
     assert _scan_with_records(curve_d4, 100, checkpoints=[91]) == reference
 
 
@@ -150,31 +151,75 @@ def _random_spans(rng, x):
     return spans
 
 
-@pytest.mark.parametrize("curve", curve_table(), ids=lambda c: c.label)
-def test_sweep_matches_dp_ep_loop(curve, monkeypatch):
-    # The sweep against the per-prime dp_ep loop, the exact path, which a
-    # model without a rule takes: records and accumulators, every p <= 1e5.
+def _dp_ep_chunk(curve, lo, hi, checkpoints):
+    """The records of the primes in [lo, hi] by dp_ep, folded one record at a time."""
+    acc = stats.SumAccumulator(x_lo=lo, x_processed=hi)
+    recs = []
+    pending = sorted(x for x in checkpoints if lo <= x <= hi)
+    for p in stats.primes_array(hi, lo=lo).tolist():
+        while pending and pending[0] < p:
+            acc.snapshot(pending.pop(0))
+        recs.append(dp_ep(p, curve))
+        acc.accumulate(recs[-1])
+    for x in pending:
+        acc.snapshot(x)
+    return acc, recs
+
+
+# Models without a residue rule, which the sweep hands to point sampling:
+# the quartic twist x^3 - 4x, the sextic twist x^3 + 2 and a quadratic
+# twist of the D11 model.
+RULELESS = [custom_curve(-4, 0, -1, 1), custom_curve(0, 2, -3, 1),
+            custom_curve(-264, -1694, -11, 1)]
+
+
+@pytest.mark.parametrize("curve", curve_table() + RULELESS, ids=lambda c: c.label)
+def test_sweep_matches_dp_ep_loop(curve):
+    # The sweep against dp_ep prime by prime, the exact path: records and
+    # accumulators, every p <= 1e5.
     rng = random.Random(f"sweep:{curve.label}")
     swept, looped = [], []
     for lo, hi in _random_spans(rng, 10**5):
         cps = tuple(rng.randint(lo, hi) for _ in range(2))
-        with monkeypatch.context() as m:
-            m.setattr(stats, "rule_for", lambda c: None)
-            loop_acc, loop_block = _scan_chunk(curve, lo, hi, cps, True)
+        loop_acc, loop_recs = _dp_ep_chunk(curve, lo, hi, cps)
         acc, block = _scan_chunk(curve, lo, hi, cps, True)
         assert acc == loop_acc, (curve.label, lo, hi)
         swept.extend(block)
-        looped.extend(loop_block)
+        looped.extend(loop_recs)
     assert len(swept) == 9592
     assert swept == looped
 
 
+def test_sweep_samples_in_increasing_p(monkeypatch):
+    # Without a rule, sampling runs in increasing p, so an ambiguous
+    # Frobenius is reported at the smallest p that sampling cannot settle.
+    seen = []
+    sampling = stats.frobenius_by_sampling
+
+    def ambiguous_above_50(p, curve, rng=None, pi0=None):
+        seen.append(p)
+        if p > 50:
+            raise AmbiguousFrobenius(p)
+        return sampling(p, curve, rng, pi0)
+
+    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous_above_50)
+    with pytest.raises(AmbiguousFrobenius) as err:
+        _scan_chunk(RULELESS[0], 2, 1000, (), False)
+    assert err.value.p == 53
+    assert seen == [5, 13, 17, 29, 37, 41, 53]
+
+
 def test_supersingular_table_matches_cubic_splits():
-    for curve in curve_table():
-        table = stats._supersingular_dp(curve.A, curve.B)
-        for p in primes_upto(10**5):
-            if p > 3 and p not in curve.bad_primes and classify(p, curve) == "ss":
-                assert (table[p % len(table)] == 2) == cubic_splits(curve, p), (curve.label, p)
+    # The thirteen models and the quartic twist x^3 - 1000003x, whose
+    # squarefree discriminant part is the prime 1000003.  Its bad primes are
+    # given, since factorize cannot split 4 * 1000003^3.
+    twist = CmCurve("x^3-1000003x", -1000003, 0, order(-1), frozenset({2, 1000003}))
+    for curve in curve_table() + [twist]:
+        ss = [p for p in primes_upto(10**5)
+              if p > 3 and p not in curve.bad_primes and classify(p, curve) == "ss"]
+        d = stats._supersingular_dp(curve, np.array(ss, dtype=np.int64))
+        for p, d_p in zip(ss, d.tolist()):
+            assert (d_p == 2) == cubic_splits(curve, p), (curve.label, p)
 
 
 def test_scan_past_checked_range_samples_its_top_primes(curve_d4, monkeypatch):
@@ -183,10 +228,13 @@ def test_scan_past_checked_range_samples_its_top_primes(curve_d4, monkeypatch):
     monkeypatch.setattr(
         stats, "frobenius_by_sampling", lambda p, curve: sampled.append(p) or sampling(p, curve)
     )
-    x = stats.RULES_CHECKED_TO + 100
-    scan(curve_d4, x)
-    assert len(sampled) == stats.GUARD_PRIMES
-    assert sampled == sorted(sampled) and x - 1000 < sampled[0] < sampled[-1] <= x
+    # Cut from 2 upwards, the ranges to 2 + 16 * CHUNK_SPAN would end in a
+    # one-integer range with no ordinary prime to check.
+    for x in (stats.RULES_CHECKED_TO + 100, 2 + 16 * stats.CHUNK_SPAN):
+        sampled.clear()
+        scan(curve_d4, x)
+        assert len(sampled) == stats.GUARD_PRIMES, x
+        assert sampled == sorted(sampled) and x - 1000 < sampled[0] < sampled[-1] <= x
     sampled.clear()
     scan(curve_d4, stats.RULES_CHECKED_TO)
     assert sampled == []

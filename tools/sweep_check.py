@@ -1,16 +1,17 @@
-"""Check that the array sweep of `scan` writes exactly what the per-prime loop writes.
+"""Check that the array sweep of `scan` writes exactly what dp_ep gives prime by prime.
 
 Usage, from the root of a checkout:
 
     python3 tools/sweep_check.py XMAX
 
-For each of the thirteen table curves, at --workers 1 and --workers 2, this
-runs `scan --out` to XMAX (--seed 5, checkpoints at the powers of ten from
-10^4 up to XMAX) twice in this process: once as shipped, where every table
-model sweeps, and once with the per-prime dp_ep loop forced by hiding the
-models' residue rules from `stats` (dp_ep itself still uses them).  The
-CSV, the summary file and stdout must be byte-identical.  Exits 1 on any
-difference.
+For each of the thirteen table curves, and for three models without a
+residue rule given through --custom (the twists x^3 - 4x, x^3 + 2 and a
+quadratic twist of the D11 model), this runs `scan --out` to XMAX
+(--seed 5, checkpoints at the powers of ten from 10^4 up to XMAX) at
+--workers 1 and --workers 2.  The reference calls dp_ep on every prime up
+to XMAX, writes its rows with the CLI's record formatter and builds the
+summary from those records, folded one at a time.  The CSV, the summary
+file and stdout must be byte-identical to it.  Exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -26,23 +27,51 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from cmfactors import cli, stats  # noqa: E402
-from cmfactors.eccurve import curve_table  # noqa: E402
+from cmfactors.eccurve import curve_table, custom_curve  # noqa: E402
+from cmfactors.frobenius import dp_ep  # noqa: E402
+from cmfactors.primesieve import primes_upto  # noqa: E402
+
+SEED = 5
+TWISTS = ((-4, 0, -1, 1), (0, 2, -3, 1), (-264, -1694, -11, 1))
 
 
-def run_scan(label: str, xmax: int, workers: int, out: Path) -> bytes:
-    """CSV, summary and stdout of one `scan --out`, concatenated with separators."""
-    checkpoints = [10**k for k in range(4, len(str(xmax))) if 10**k <= xmax] or [xmax]
+def outputs(csv: str, summary: str, stdout: str) -> bytes:
+    """CSV, summary file and stdout of one scan, concatenated with separators."""
+    return b"\0".join(part.encode() for part in (csv, summary, stdout))
+
+
+def run_scan(curve_args: list[str], xmax: int, checkpoints: list[int], workers: int,
+             out: Path) -> bytes:
+    """The outputs of one `scan --out` through the CLI."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([
-            "scan", "--curve", label, "--xmax", str(xmax), "--seed", "5",
+            "scan", *curve_args, "--xmax", str(xmax), "--seed", str(SEED),
             "--workers", str(workers), "--checkpoints", ",".join(map(str, checkpoints)),
             "--out", str(out),
         ])
     if code != 0:
-        raise SystemExit(f"{label}: scan exited {code}")
+        raise SystemExit(f"{' '.join(curve_args)}: scan exited {code}")
     summary = out.with_name(out.name + ".summary.json")
-    return b"\0".join((out.read_bytes(), summary.read_bytes(), stdout.getvalue().encode()))
+    return outputs(out.read_text(), summary.read_text(), stdout.getvalue())
+
+
+def reference(curve, xmax: int, checkpoints: list[int], out: Path) -> bytes:
+    """The same outputs from dp_ep on every prime, folded one record at a time."""
+    acc = stats.SumAccumulator(x_lo=2, x_processed=xmax)
+    lines = [cli.CSV_HEADER]
+    pending = sorted(checkpoints)
+    for p in primes_upto(xmax):
+        while pending and pending[0] < p:
+            acc.snapshot(pending.pop(0))
+        rec = dp_ep(p, curve)
+        acc.accumulate(rec)
+        lines.append(cli._record_line(rec))
+    for x in pending:
+        acc.snapshot(x)
+    summary = cli._summary_text(curve, SEED, acc, xmax)
+    stdout = f"wrote {acc.pi_x} records to {out}\nwrote summary to {out}.summary.json\n{summary}\n"
+    return outputs("\n".join(lines) + "\n", summary + "\n", stdout)
 
 
 def main() -> int:
@@ -51,26 +80,24 @@ def main() -> int:
     args = parser.parse_args()
     if args.xmax < 2:
         parser.error("XMAX must be at least 2")
+    checkpoints = [10**k for k in range(4, len(str(args.xmax))) if 10**k <= args.xmax] or [args.xmax]
+    models = [(curve, ["--curve", curve.label]) for curve in curve_table()]
+    models += [(custom_curve(*m), [f"--custom={','.join(map(str, m))}"]) for m in TWISTS]
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "records.csv"
-        for curve in curve_table():
+        for curve, curve_args in models:
+            t0 = time.perf_counter()
+            expected = reference(curve, args.xmax, checkpoints, out)
+            t1 = time.perf_counter()
             for workers in (1, 2):
-                t0 = time.perf_counter()
-                swept = run_scan(curve.label, args.xmax, workers, out)
-                t1 = time.perf_counter()
-                rule_for = stats.rule_for
-                stats.rule_for = lambda curve: None
-                try:
-                    looped = run_scan(curve.label, args.xmax, workers, out)
-                finally:
-                    stats.rule_for = rule_for
                 t2 = time.perf_counter()
-                same = swept == looped
+                same = run_scan(curve_args, args.xmax, checkpoints, workers, out) == expected
                 differ += not same
                 print(f"{curve.label} workers={workers}: {'same' if same else 'DIFFERENT'}"
-                      f" (sweep {t1 - t0:.2f} s, loop {t2 - t1:.2f} s)", flush=True)
-    print(f"{differ} of {2 * len(curve_table())} scans differ")
+                      f" (sweep {time.perf_counter() - t2:.2f} s, dp_ep {t1 - t0:.2f} s)",
+                      flush=True)
+    print(f"{differ} of {2 * len(models)} scans differ")
     return 1 if differ else 0
 
 
