@@ -41,12 +41,15 @@ def model_bad_primes(A: int, B: int) -> frozenset[int]:
 
     2 is always bad (every y^2 = cubic model is singular in characteristic
     2); odd primes are bad exactly when they divide 4A^3 + 27B^2.  A
-    singular model, with 4A^3 + 27B^2 = 0, raises ValueError.
+    singular model, with 4A^3 + 27B^2 = 0, raises ValueError.  For B = 0 the
+    discriminant is 4|A|^3 and for A = 0 it is 27B^2, so the coefficient is
+    factored, not its power: a prime A or B above 10^6 stays in reach.
     """
     disc = abs(4 * A**3 + 27 * B**2)
     if disc == 0:
         raise ValueError("singular model: 4A^3 + 27B^2 = 0")
-    return frozenset({2} | {q for q, _ in factorize(disc)})
+    core = 2 * A if B == 0 else 3 * B if A == 0 else disc
+    return frozenset({2} | {q for q, _ in factorize(abs(core))})
 
 
 def custom_curve(A: int, B: int, g: int, f: int = 1, label: str | None = None) -> CmCurve:

@@ -3,9 +3,9 @@
 Enumerates E(F_p) directly and computes the invariant factors (d, e) by
 exact torsion counting: d's q-adic valuation is the largest j for which
 the q^j-torsion is fully rational, measured over every point of the group.
-The arithmetic is vectorized over all points at once, with modular
-inverses by Fermat exponentiation on arrays, so the whole group is
-processed in a few dozen numpy passes.
+The points come from one table of square roots mod p.  The group law runs
+on all points at once, with a doubling kernel and slopes taken through one
+table of inverses mod p, so the whole group is a few dozen numpy passes.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from .primesieve import factorize
 
 ENUMERATION_BOUND = 10**5
 
-# count_points builds its int64 x and y arrays in slices of this many residues,
-# so those temporaries stay bounded for large p.
+# count_points and the square-root table work on slices of this many residues,
+# so their int64 temporaries stay bounded for large p.
 _COUNT_CHUNK = 1 << 20
 
 
@@ -28,51 +28,39 @@ def _check_p(curve: CmCurve, p: int):
         raise ValueError(f"p={p} outside the enumeration bound {ENUMERATION_BOUND}")
 
 
-def _qr_table(p: int) -> np.ndarray:
-    ys = np.arange(p, dtype=np.int64)
-    table = np.zeros(p, dtype=bool)
-    table[ys * ys % p] = True
-    return table
+def _square_roots(p: int) -> np.ndarray:
+    """root[x*x % p] = x over 0 <= x < p; 0 marks 0 and the non-residues."""
+    root = np.zeros(p, dtype=np.int32 if p < 2**31 else np.int64)
+    for lo in range(0, p, _COUNT_CHUNK):
+        xs = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
+        root[xs * xs % p] = xs
+    return root
 
 
-def _rhs_values(curve: CmCurve, p: int) -> np.ndarray:
-    xs = np.arange(p, dtype=np.int64)
-    return (xs * xs % p * xs + (curve.A % p) * xs + curve.B) % p
+def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
+    return (xs * xs % p * xs + (curve.A % p) * xs + curve.B % p) % p
 
 
 def count_points(curve: CmCurve, p: int) -> int:
     """#E(F_p) by direct quadratic-residue counting; works to large p."""
     if p in curve.bad_primes:
         raise ValueError(f"p={p} is a bad prime for {curve.label}")
-    qr = np.zeros(p, dtype=bool)
-    for lo in range(0, p, _COUNT_CHUNK):
-        ys = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
-        qr[ys * ys % p] = True
-    a = curve.A % p
-    b = curve.B % p
+    root = _square_roots(p)
     total = 1
     for lo in range(0, p, _COUNT_CHUNK):
-        xs = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
-        rhs = (xs * xs % p * xs + a * xs + b) % p
-        zero = rhs == 0
-        total += int(zero.sum()) + 2 * int((qr[rhs] & ~zero).sum())
+        rhs = _rhs(curve, p, np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64))
+        total += int((rhs == 0).sum()) + 2 * int((root[rhs] != 0).sum())
     return total
 
 
 def _affine_arrays(curve: CmCurve, p: int) -> tuple[np.ndarray, np.ndarray]:
-    rhs = _rhs_values(curve, p)
-    qr = _qr_table(p)
-    ys = np.arange(p, dtype=np.int64)
-    root = np.zeros(p, dtype=np.int64)
-    root[ys * ys % p] = ys
     xs = np.arange(p, dtype=np.int64)
-    two_torsion = rhs == 0
-    smooth = qr[rhs] & ~two_torsion
-    x2 = xs[two_torsion]
-    xs_sm = xs[smooth]
-    y_sm = root[rhs[smooth]]
+    rhs = _rhs(curve, p, xs)
+    ys = _square_roots(p)[rhs]
+    smooth = ys != 0
+    x2, xs_sm, y_sm = xs[rhs == 0], xs[smooth], ys[smooth]
     X = np.concatenate([x2, xs_sm, xs_sm])
-    Y = np.concatenate([np.zeros(len(x2), dtype=np.int64), y_sm, (p - y_sm) % p])
+    Y = np.concatenate([np.zeros(len(x2), dtype=np.int64), y_sm, p - y_sm])
     return X, Y
 
 
@@ -85,28 +73,39 @@ def enumerate_points(curve: CmCurve, p: int) -> list[Point]:
     return points
 
 
-def _vec_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            result = result * b % p
-        e >>= 1
-        if e:
-            b = b * b % p
-    return result
+def _inverses(p: int) -> np.ndarray:
+    """inv[x] = x^-1 mod p for 0 < x < p, and inv[0] = 0, for a prime p.
+
+    With g a generator, powers[k] = g^k runs over the units, and the
+    inverse of g^k is g^(p-1-k).  The powers double in length each pass.
+    """
+    qs = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < p - 1:
+        powers = np.concatenate([powers, powers * pow(g, len(powers), p) % p])
+    powers = powers[: p - 1]
+    inv = np.zeros(p, dtype=np.int64)
+    inv[powers] = powers[-np.arange(p - 1) % (p - 1)]
+    return inv
 
 
-def _vec_add(x1, y1, i1, x2, y2, i2, a, p):
-    """Lane-wise group law on point arrays; i* are infinity masks."""
+def _vec_double(x, y, inf, a, p, inv):
+    """Lane-wise P + P; inf is the infinity mask, inv the table of inverses."""
+    s = (3 * x * x + a) * inv[2 * y % p] % p
+    x3 = (s * s - 2 * x) % p
+    return x3, (s * (x - x3) - y) % p, inf | (y == 0)
+
+
+def _vec_add(x1, y1, i1, x2, y2, i2, a, p, inv):
+    """Lane-wise P + Q on point arrays; i* are infinity masks, inv as in _vec_double."""
     dx = (x2 - x1) % p
     same_x = dx == 0
     vert = same_x & ((y1 + y2) % p == 0)
     dbl = same_x & ~vert
     num = np.where(dbl, (3 * x1 * x1 + a) % p, (y2 - y1) % p)
     den = np.where(dbl, 2 * y1 % p, dx)
-    den = np.where(den == 0, 1, den)
-    s = num * _vec_modpow(den, p - 2, p) % p
+    s = num * inv[den] % p
     x3 = (s * s - x1 - x2) % p
     y3 = (s * (x1 - x3) - y1) % p
     x3 = np.where(i1, x2, np.where(i2, x1, x3))
@@ -115,18 +114,16 @@ def _vec_add(x1, y1, i1, x2, y2, i2, a, p):
     return x3, y3, i3
 
 
-def _vec_scalar_mul(n, X, Y, INF, a, p):
-    RX = np.zeros_like(X)
-    RY = np.zeros_like(Y)
-    RI = np.ones_like(INF)
-    QX, QY, QI = X, Y, INF
-    while n:
+def _vec_scalar_mul(n, X, Y, INF, a, p, inv):
+    """n (X, Y) for n >= 1 by double-and-add; R starts at the lowest set bit."""
+    R, Q = None, (X, Y, INF)
+    while True:
         if n & 1:
-            RX, RY, RI = _vec_add(RX, RY, RI, QX, QY, QI, a, p)
+            R = Q if R is None else _vec_add(*R, *Q, a, p, inv)
         n >>= 1
-        if n:
-            QX, QY, QI = _vec_add(QX, QY, QI, QX, QY, QI, a, p)
-    return RX, RY, RI
+        if not n:
+            return R
+        Q = _vec_double(*Q, a, p, inv)
 
 
 def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
@@ -141,13 +138,15 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     X, Y = _affine_arrays(curve, p)
     N = len(X) + 1
     a = curve.A % p
-    d = 1
+    d, inv = 1, None
     for q, k in factorize(N):
         if k < 2 or (p - 1) % q:
             continue
+        if inv is None:
+            inv = _inverses(p)
         TX, TY, TI = X, Y, np.zeros(len(X), dtype=bool)
         for j in range(1, k // 2 + 1):
-            TX, TY, TI = _vec_scalar_mul(q, TX, TY, TI, a, p)
+            TX, TY, TI = _vec_scalar_mul(q, TX, TY, TI, a, p, inv)
             if 1 + int(TI.sum()) != q ** (2 * j):
                 break
             d *= q

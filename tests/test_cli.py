@@ -155,6 +155,13 @@ def test_env_seed_default(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "r.csv.summary.json").read_text())["seed"] == 77
 
 
+def test_custom_twist_by_large_prime_scans(capsys):
+    # x^3 - 1000003x: its bad primes come from A, not from 4|A|^3.
+    code, stdout, _ = run(capsys, "scan", "--custom=-1000003,0,-1,1", "--xmax", "20000")
+    assert code == 0
+    assert json.loads(stdout[stdout.index("{"):])["curve"] == "custom--1000003-0"
+
+
 def test_table_override_scan(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("mine -1 0 -1 1 2\n")

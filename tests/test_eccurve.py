@@ -39,6 +39,10 @@ def test_model_bad_primes():
     # Odd discriminant still leaves 2 bad: char-2 models are singular.
     assert model_bad_primes(0, 1) == frozenset({2, 3})
     assert model_bad_primes(1, 1) == frozenset({2, 31})
+    # Twists by a prime above 10^6: 4 * 1000003^3 and 27 * 1000003^2 are out
+    # of factorize's reach, the coefficient is not.
+    assert model_bad_primes(-1000003, 0) == frozenset({2, 1000003})
+    assert model_bad_primes(0, 1000003) == frozenset({2, 3, 1000003})
 
 
 def test_group_law_examples(curve_d4):

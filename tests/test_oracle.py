@@ -1,16 +1,24 @@
 import math
 from functools import reduce
 
+import numpy as np
 import pytest
 
-from cmfactors.eccurve import _scalar_mul, scalar_mul
+from cmfactors.eccurve import _add, _scalar_mul, scalar_mul
 from cmfactors.oracle import (
+    ENUMERATION_BOUND,
+    _inverses,
+    _vec_add,
+    _vec_double,
+    _vec_scalar_mul,
     count_points,
     element_orders,
     enumerate_points,
     group_structure,
 )
 from cmfactors.primesieve import primes_upto
+
+KERNEL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def test_enumerate_examples(curve_d4):
@@ -111,3 +119,58 @@ def test_element_orders_divide_group_order(curve_d4):
         for P, o in zip(pts, element_orders(curve_d4, p)):
             assert len(pts) % o == 0
             assert scalar_mul(o, P, curve_d4, p) is None if P else o == 1
+
+
+def test_inverse_table():
+    near_bound = [p for p in primes_upto(ENUMERATION_BOUND) if p > ENUMERATION_BOUND - 300]
+    for p in primes_upto(10**4) + near_bound:
+        xs = np.arange(p, dtype=np.int64)
+        inv = _inverses(p)
+        assert inv[0] == 0, p
+        assert (xs[1:] * inv[1:] % p == 1).all(), p
+
+
+def _lanes(points):
+    """Point list (None for infinity) as x, y arrays and an infinity mask."""
+    xs = np.array([P[0] if P else 0 for P in points], dtype=np.int64)
+    ys = np.array([P[1] if P else 0 for P in points], dtype=np.int64)
+    return xs, ys, np.array([P is None for P in points])
+
+
+def _points(lanes):
+    x, y, inf = lanes
+    return [None if i else (a, b) for a, b, i in zip(x.tolist(), y.tolist(), inf.tolist())]
+
+
+def test_vector_kernels_match_scalar_group_law(all_curves):
+    # Every pair of points, so the lanes include infinity on either side,
+    # 2-torsion points, P + (-P) and P + P inside _vec_add.
+    two_torsion = 0
+    for curve in all_curves:
+        for p in KERNEL_PRIMES:
+            if p in curve.bad_primes:
+                continue
+            a = curve.A % p
+            inv = _inverses(p)
+            pts = enumerate_points(curve, p)
+            two_torsion += sum(1 for P in pts if P and P[1] == 0)
+            doubled = _points(_vec_double(*_lanes(pts), a, p, inv))
+            assert doubled == [_add(P, P, a, p) for P in pts], (curve.label, p)
+            left = [P for P in pts for _ in pts]
+            right = pts * len(pts)
+            summed = _points(_vec_add(*_lanes(left), *_lanes(right), a, p, inv))
+            assert summed == [_add(P, Q, a, p) for P, Q in zip(left, right)], (curve.label, p)
+    assert two_torsion > 0
+
+
+def test_vector_scalar_mul_matches_scalar(all_curves):
+    for curve in all_curves:
+        for p in KERNEL_PRIMES:
+            if p in curve.bad_primes:
+                continue
+            a = curve.A % p
+            inv = _inverses(p)
+            pts = enumerate_points(curve, p)
+            for n in range(1, 13):
+                got = _points(_vec_scalar_mul(n, *_lanes(pts), a, p, inv))
+                assert got == [_scalar_mul(n, P, a, p) for P in pts], (curve.label, p, n)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmfactors.eccurve import CmCurve, cubic_splits, curve_table, custom_curve, get_curve
+from cmfactors.eccurve import cubic_splits, curve_table, custom_curve, get_curve
 from cmfactors.frobenius import AmbiguousFrobenius, classify, dp_ep
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
@@ -211,9 +211,8 @@ def test_sweep_samples_in_increasing_p(monkeypatch):
 
 def test_supersingular_table_matches_cubic_splits():
     # The thirteen models and the quartic twist x^3 - 1000003x, whose
-    # squarefree discriminant part is the prime 1000003.  Its bad primes are
-    # given, since factorize cannot split 4 * 1000003^3.
-    twist = CmCurve("x^3-1000003x", -1000003, 0, order(-1), frozenset({2, 1000003}))
+    # squarefree discriminant part is the prime 1000003.
+    twist = custom_curve(-1000003, 0, -1, 1)
     for curve in curve_table() + [twist]:
         ss = [p for p in primes_upto(10**5)
               if p > 3 and p not in curve.bad_primes and classify(p, curve) == "ss"]
