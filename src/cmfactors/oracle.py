@@ -3,20 +3,21 @@
 Enumerates E(F_p) directly and computes the invariant factors (d, e) by
 exact torsion counting: d's q-adic valuation is the largest j for which
 the q^j-torsion is fully rational, measured over every point of the group.
-The points come from one table of square roots mod p.  The group law runs
-on all points at once, with a doubling kernel and slopes taken through one
-table of inverses mod p, so the whole group is a few dozen numpy passes.
+One counting pass over x mod p against a table of squares gives #E(F_p)
+and the roots of the cubic, which settle the first 2-torsion level.  Only
+a level past that builds the points and a table of inverses mod p; the
+group law then runs on one lane per {P, -P}, weighted by the pair's size.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .eccurve import CmCurve, Point
+from .eccurve import CmCurve, Point, _scalar_mul
 from .primesieve import factorize
 
 ENUMERATION_BOUND = 10**5
 
-# count_points and the square-root table work on slices of this many residues,
+# The counting pass and the table of squares work on slices of this many residues,
 # so their int64 temporaries stay bounded for large p.
 _COUNT_CHUNK = 1 << 20
 
@@ -28,48 +29,57 @@ def _check_p(curve: CmCurve, p: int):
         raise ValueError(f"p={p} outside the enumeration bound {ENUMERATION_BOUND}")
 
 
-def _square_roots(p: int) -> np.ndarray:
-    """root[x*x % p] = x over 0 <= x < p; 0 marks 0 and the non-residues."""
-    root = np.zeros(p, dtype=np.int32 if p < 2**31 else np.int64)
-    for lo in range(0, p, _COUNT_CHUNK):
-        xs = np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64)
-        root[xs * xs % p] = xs
-    return root
+def _slices(lo: int, hi: int):
+    for start in range(lo, hi, _COUNT_CHUNK):
+        yield np.arange(start, min(start + _COUNT_CHUNK, hi), dtype=np.int64)
 
 
 def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
-    return (xs * xs % p * xs + (curve.A % p) * xs + curve.B % p) % p
+    """(x^2 + A) x + B mod p; one reduction while p^3 fits in int64, and one
+    expression, so numpy reuses each temporary in place."""
+    a, b = curve.A % p, curve.B % p
+    return (((xs * xs if p < 1 << 21 else xs * xs % p) + a) * xs + b) % p
+
+
+def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray]:
+    """#E(F_p), #roots of x^3 + Ax + B mod p, and rhs over the last slice of
+    x mod p, which is every x for p <= ENUMERATION_BOUND."""
+    sq = np.zeros(p, dtype=bool)  # the nonzero squares mod p, one byte per residue
+    for xs in _slices(1, (p + 1) // 2):
+        sq[xs * xs % p] = True
+    n, roots = 1, 0
+    for xs in _slices(0, p):
+        rhs = _rhs(curve, p, xs)
+        roots += int(np.count_nonzero(rhs == 0))
+        n += 2 * int(np.count_nonzero(sq[rhs]))
+    return n + roots, roots, rhs
 
 
 def count_points(curve: CmCurve, p: int) -> int:
     """#E(F_p) by direct quadratic-residue counting; works to large p."""
     if p in curve.bad_primes:
         raise ValueError(f"p={p} is a bad prime for {curve.label}")
-    root = _square_roots(p)
-    total = 1
-    for lo in range(0, p, _COUNT_CHUNK):
-        rhs = _rhs(curve, p, np.arange(lo, min(lo + _COUNT_CHUNK, p), dtype=np.int64))
-        total += int((rhs == 0).sum()) + 2 * int((root[rhs] != 0).sum())
-    return total
+    return _counting_pass(curve, p)[0]
 
 
-def _affine_arrays(curve: CmCurve, p: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.arange(p, dtype=np.int64)
-    rhs = _rhs(curve, p, xs)
-    ys = _square_roots(p)[rhs]
-    smooth = ys != 0
-    x2, xs_sm, y_sm = xs[rhs == 0], xs[smooth], ys[smooth]
-    X = np.concatenate([x2, xs_sm, xs_sm])
-    Y = np.concatenate([np.zeros(len(x2), dtype=np.int64), y_sm, p - y_sm])
-    return X, Y
+def _affine_arrays(p: int, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One affine point per {P, -P}: x, y with y <= p // 2, those with y = 0 first."""
+    root = np.zeros(p, dtype=np.int64)
+    ys = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    root[ys * ys % p] = ys
+    y = root[rhs]
+    X = np.concatenate([np.flatnonzero(rhs == 0), np.flatnonzero(y)])
+    return X, y[X]
 
 
 def enumerate_points(curve: CmCurve, p: int) -> list[Point]:
     """All points of E(F_p) including infinity (as None)."""
     _check_p(curve, p)
-    X, Y = _affine_arrays(curve, p)
+    X, Y = _affine_arrays(p, _rhs(curve, p, np.arange(p, dtype=np.int64)))
+    smooth = Y != 0
     points: list[Point] = [None]
-    points.extend(zip(X.tolist(), Y.tolist()))
+    points.extend(zip(X.tolist(), np.where(smooth, p - Y, 0).tolist()))
+    points.extend(zip(X[smooth].tolist(), Y[smooth].tolist()))
     return points
 
 
@@ -132,22 +142,34 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     For each prime q, the q-valuation of d is the largest j with
     #{P : q^j P = infinity} = q^(2j); the count runs over the whole group,
     so the result is exact.  Candidate primes are cut down first: full
-    q-torsion forces q | p - 1 (Weil pairing) and q^2 | N.
+    q-torsion forces q | p - 1 (Weil pairing) and q^2 | N.  For q = 2, level
+    j counts the P with 2^(j-1) P = O or with y = 0, so level 1 is 1 + the
+    cubic's roots.  Other levels run the group law on one lane per {P, -P},
+    weighted by its size (exact: [n](-P) = -[n]P, and -Q = O iff Q = O); the
+    lanes and the table of inverses are built when first needed.
     """
     _check_p(curve, p)
-    X, Y = _affine_arrays(curve, p)
-    N = len(X) + 1
-    a = curve.A % p
-    d, inv = 1, None
+    N, roots, rhs = _counting_pass(curve, p)
+    a, d, lanes = curve.A % p, 1, None
     for q, k in factorize(N):
         if k < 2 or (p - 1) % q:
             continue
-        if inv is None:
-            inv = _inverses(p)
-        TX, TY, TI = X, Y, np.zeros(len(X), dtype=bool)
+        T = None
         for j in range(1, k // 2 + 1):
-            TX, TY, TI = _vec_scalar_mul(q, TX, TY, TI, a, p, inv)
-            if 1 + int(TI.sum()) != q ** (2 * j):
+            if q == 2 and j == 1:
+                killed = roots
+            else:
+                lanes = lanes or (*_affine_arrays(p, rhs), _inverses(p))
+                X, Y, inv = lanes
+                T = T or (X, Y, np.zeros(len(X), dtype=bool))
+                if q == 2:  # T = 2^(j-1) P, and 2^j P = O iff T = O or T has y = 0
+                    T = _vec_double(*T, a, p, inv)
+                    hit = T[2] | (T[1] == 0)
+                else:
+                    T = _vec_scalar_mul(q, *T, a, p, inv)
+                    hit = T[2]
+                killed = int(hit.sum()) + int((Y[hit] != 0).sum())  # P, and -P if y != 0
+            if 1 + killed != q ** (2 * j):
                 break
             d *= q
     e = N // d
@@ -157,29 +179,17 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
 
 
 def element_orders(curve: CmCurve, p: int) -> list[int]:
-    """Exact order of every point; the lcm is the group exponent.
-
-    Slow reference path (scalar arithmetic per point); used to cross-check
-    group_structure on very small p.
-    """
+    """Exact order of every point by scalar arithmetic; a slow cross-check at small p."""
     _check_p(curve, p)
-    from .eccurve import _scalar_mul
-
     pts = enumerate_points(curve, p)
-    N = len(pts)
-    factors = factorize(N)
-    a = curve.A % p
-    orders = []
-    for P in pts:
-        if P is None:
-            orders.append(1)
-            continue
+    N, a, factors = len(pts), curve.A % p, factorize(len(pts))
+    orders = [1]
+    for P in pts[1:]:
         o = N
         for q, k in factors:
             for _ in range(k):
-                if _scalar_mul(o // q, P, a, p) is None:
-                    o //= q
-                else:
+                if _scalar_mul(o // q, P, a, p) is not None:
                     break
+                o //= q
         orders.append(o)
     return orders

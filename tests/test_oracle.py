@@ -4,9 +4,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from cmfactors import oracle
 from cmfactors.eccurve import _add, _scalar_mul, scalar_mul
+from cmfactors.frobenius import dp_ep
 from cmfactors.oracle import (
     ENUMERATION_BOUND,
+    _counting_pass,
     _inverses,
     _vec_add,
     _vec_double,
@@ -16,7 +19,7 @@ from cmfactors.oracle import (
     enumerate_points,
     group_structure,
 )
-from cmfactors.primesieve import primes_upto
+from cmfactors.primesieve import factorize, primes_upto
 
 KERNEL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -59,6 +62,65 @@ def test_count_points_agrees_with_enumeration(all_curves):
             if p in curve.bad_primes:
                 continue
             assert count_points(curve, p) == len(enumerate_points(curve, p))
+
+
+def test_counting_pass_matches_enumeration(all_curves):
+    for curve in all_curves:
+        for p in primes_upto(2000):
+            if p in curve.bad_primes:
+                continue
+            n, roots, rhs = _counting_pass(curve, p)
+            pts = enumerate_points(curve, p)
+            assert n == len(pts), (curve.label, p)
+            assert roots == sum(1 for P in pts if P and P[1] == 0), (curve.label, p)
+            assert len(rhs) == p
+
+
+def test_count_points_at_large_p(all_curves):
+    # Both sides of 2^21, where the cubic switches to two reductions; the
+    # pipeline's N comes from Frobenius, not from counting.
+    for curve in all_curves:
+        for p in (1048583, 2097169):
+            assert count_points(curve, p) == dp_ep(p, curve).N, (curve.label, p)
+
+
+def _levels(curve, p):
+    """Which torsion levels group_structure tests: (2-adic reaches j >= 2, an odd q passes)."""
+    n, roots, _ = _counting_pass(curve, p)
+    cut = {q: k for q, k in factorize(n) if k >= 2 and (p - 1) % q == 0}
+    return cut.get(2, 0) >= 4 and roots == 3, any(q > 2 for q in cut)
+
+
+def test_group_law_levels_match_element_orders(all_curves):
+    seen = [0, 0]
+    for curve in all_curves:
+        for p in primes_upto(400):
+            if p in curve.bad_primes:
+                continue
+            levels = _levels(curve, p)
+            if not any(levels):
+                continue
+            seen = [s + x for s, x in zip(seen, levels)]
+            e = max(element_orders(curve, p))
+            assert group_structure(curve, p) == (count_points(curve, p) // e, e), (curve.label, p)
+    assert min(seen) > 0, seen
+
+
+def test_first_two_torsion_level_needs_no_group_law(all_curves, monkeypatch):
+    cases = []
+    for curve in all_curves:
+        for p in primes_upto(500):
+            if p not in curve.bad_primes and not any(_levels(curve, p)):
+                cases.append((curve, p, group_structure(curve, p)))
+
+    def forbidden(*args):
+        raise AssertionError("group law tables built")
+
+    monkeypatch.setattr(oracle, "_inverses", forbidden)
+    monkeypatch.setattr(oracle, "_affine_arrays", forbidden)
+    assert any(d % 2 == 0 for _, _, (d, _) in cases)
+    for curve, p, expected in cases:
+        assert group_structure(curve, p) == expected, (curve.label, p)
 
 
 def test_group_structure_examples(curve_d4):
