@@ -20,6 +20,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import stats
 from .eccurve import CmCurve, custom_curve, get_curve, load_table
 from .frobenius import KINDS, AmbiguousFrobenius, dp_ep, validate_curve
@@ -80,11 +82,64 @@ def _record_line(rec) -> str:
     )
 
 
-def _block_text(block: RecordBlock) -> str:
-    """The CSV rows of a scan's RecordBlock, formatted from its columns."""
-    cols = block.rows.T.tolist()
-    cols[1] = [KINDS[k] for k in cols[1]]
-    return "".join(map("{},{},{},{},{},{},{},{}\n".format, *cols))
+# KINDS as a byte table, each name left-aligned in the width of the longest,
+# with a mask of the bytes that belong to the name.
+_KIND_WIDTH = max(map(len, KINDS))
+_KIND_BYTES = np.array([list(k.ljust(_KIND_WIDTH).encode()) for k in KINDS], dtype=np.uint8)
+_KIND_KEEP = np.array([[i < len(k) for i in range(_KIND_WIDTH)] for k in KINDS])
+
+
+def _block_bytes(block: RecordBlock) -> bytes:
+    """The CSV rows of a scan's RecordBlock, as _record_line writes them.
+
+    Every value must satisfy |v| < 2^62.  The rows are laid out as one
+    (n, width) uint8 matrix: per column an optional sign slot, the decimal
+    digits right-aligned in the width of the column's largest value, then
+    ',' (the last column's is '\n'); the kind column holds its name from
+    a padded byte table.  A mask of the same shape drops leading zeros,
+    unused sign slots and kind padding, and the masked matrix, read row
+    by row, is the text.  The matrix is stored column-major so that each
+    digit position is one contiguous write.  Digits come from repeated
+    division by the scalar 10, which numpy does far faster than a
+    broadcast division by a column of powers of ten, and in uint32 when
+    the column fits.
+    """
+    rows = block.rows
+    n = len(rows)
+    layout = []
+    for j, col in enumerate(rows.T):
+        if j == 1:
+            layout.append((col, False, _KIND_WIDTH))
+            continue
+        m = np.abs(col)
+        top = int(m.max()) if n else 0
+        layout.append((m.astype(np.uint32) if top < 1 << 32 else m,
+                       n > 0 and bool((col < 0).any()), len(str(top))))
+    width = sum(sign + w + 1 for _, sign, w in layout)
+    text = np.empty((n, width), dtype=np.uint8, order="F")
+    keep = np.ones((n, width), dtype=bool, order="F")
+    at = 0
+    for j, (m, sign, w) in enumerate(layout):
+        if sign:
+            text[:, at] = ord("-")
+            np.less(rows[:, j], 0, out=keep[:, at])
+            at += 1
+        if j == 1:
+            text[:, at:at + w] = _KIND_BYTES[m]
+            keep[:, at:at + w] = _KIND_KEEP[m]
+        else:
+            for k in range(at + w - 1, at - 1, -1):
+                q = m // 10
+                np.subtract(m, q * 10, out=text[:, k], casting="unsafe")
+                if k < at + w - 1:
+                    np.greater(m, 0, out=keep[:, k])
+                m = q
+            text[:, at:at + w] += ord("0")
+        at += w
+        text[:, at] = ord(",")
+        at += 1
+    text[:, -1] = ord("\n")
+    return text[keep].tobytes()
 
 
 def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:
@@ -110,7 +165,7 @@ def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:
 
 @contextlib.contextmanager
 def _atomic_outputs(path: str):
-    """Open temp files beside PATH and PATH.summary.json; yield (csv, summary).
+    """Open binary temp files beside PATH and PATH.summary.json; yield (csv, summary).
 
     They are renamed into place only if the body completes; on any
     exception they are removed, so no partial target is left behind.
@@ -123,7 +178,7 @@ def _atomic_outputs(path: str):
     try:
         with contextlib.ExitStack() as files:
             try:
-                handles = [files.enter_context(open(t, "w", encoding="utf-8")) for t in temps]
+                handles = [files.enter_context(open(t, "wb")) for t in temps]
             except OSError as e:
                 raise SystemExit2(f"--out {path}: {e.strerror}")
             yield handles
@@ -137,8 +192,8 @@ def _atomic_outputs(path: str):
 
 def cmd_scan(args) -> int:
     curve = _resolve_curve(args)
-    if args.xmax < 2:
-        raise SystemExit2("--xmax must be at least 2")
+    if not 2 <= args.xmax < stats.X_MAX_LIMIT:
+        raise SystemExit2("--xmax must lie in [2, 2^50)")
     if args.workers < 1:
         raise SystemExit2("--workers must be at least 1")
     try:
@@ -154,16 +209,17 @@ def cmd_scan(args) -> int:
         print(_summary_text(curve, seed, acc, args.xmax))
         return 0
     with _atomic_outputs(args.out) as (csv_fh, summary_fh):
-        csv_fh.write(CSV_HEADER + "\n")
+        csv_fh.write(f"{CSV_HEADER}\n".encode())
         acc = scan(
             curve,
             args.xmax,
             checkpoints=checkpoints,
             workers=args.workers,
-            records=lambda block: csv_fh.write(_block_text(block)),
+            records=csv_fh.write,
+            render=_block_bytes,
         )
         text = _summary_text(curve, seed, acc, args.xmax)
-        summary_fh.write(text + "\n")
+        summary_fh.write(f"{text}\n".encode())
     # One record per prime.
     print(f"wrote {acc.pi_x} records to {args.out}")
     print(f"wrote summary to {args.out}.summary.json")
@@ -203,8 +259,8 @@ def cmd_verify(args) -> int:
 
 def cmd_identity(args) -> int:
     curve = _resolve_curve(args)
-    if args.x < 2:
-        raise SystemExit2("--x must be at least 2")
+    if not 2 <= args.x < stats.X_MAX_LIMIT:
+        raise SystemExit2("--x must lie in [2, 2^50)")
     lhs, rhs, equal = stats.decomposition_check(curve, args.x)
     print(f"lhs={lhs} rhs={rhs} equal={equal}")
     return 0 if equal else 1

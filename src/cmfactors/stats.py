@@ -11,7 +11,10 @@ ratios go through floating point.
 Every range is swept as arrays: its lattice points of prime norm give the
 ordinary primes with Cornacchia's element, whose unit a residue rule
 (frobrules) or, for a model without one, point sampling picks; residue
-tables of p give the supersingular d_p.
+tables of p give the supersingular d_p.  The sweep builds only the points
+whose parity classes (a mod 2, b mod 2) give an odd norm, between a quarter
+and three quarters of them by the order; p = 2 is never such a norm here
+and goes through dp_ep with p = 3 and the bad primes.
 """
 from __future__ import annotations
 
@@ -34,6 +37,10 @@ from .quadorder import OrderDesc, QuadInt, conj, norm, unit_orbit, units
 
 # Each scan job covers this many consecutive integers.
 CHUNK_SPAN = 1 << 16
+
+# Scans stop below this bound: _isqrt is exact below 2^52 and the sweep
+# takes it of 4*hi, and the job list, built up front, stays small.
+X_MAX_LIMIT = 1 << 50
 
 # tools/frobenius_rules.py checks the packaged rules up to this bound; a
 # scan beyond it re-derives its GUARD_PRIMES largest ordinary primes by
@@ -213,11 +220,26 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _ranges(starts: np.ndarray, stops: np.ndarray, tags: np.ndarray):
-    """(x, tag) for every x in range(starts[i], stops[i]), tagged by tags[i]."""
-    counts = np.maximum(stops - starts, 0)
-    shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
-    return np.arange(len(shift), dtype=np.int64) - shift, np.repeat(tags, counts)
+def _ranges(starts: np.ndarray, stops: np.ndarray, step: int, tags: np.ndarray):
+    """(x, tag) for every x in range(starts[i], stops[i], step), tagged by tags[i]."""
+    counts = np.maximum(-((starts - stops) // step), 0)
+    first = np.cumsum(counts) - counts
+    x = np.arange(counts.sum(), dtype=np.int64)
+    x *= step
+    x += np.repeat(starts - step * first, counts)
+    return x, np.repeat(tags, counts)
+
+
+def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For b = 0 and b = 1 (mod 2), the classes of a mod 2 with Nm(a + b*beta) odd.
+
+    Mod 2 the norm a^2 + t*a*b + n*b^2 depends only on (a, b, t, n) mod 2,
+    and only a point of odd norm can have an odd prime norm.
+    """
+    t, n = od.beta_trace, od.beta_norm
+    return tuple(
+        tuple(a for a in (0, 1) if (a * a + t * a * b + n * b * b) % 2) for b in (0, 1)
+    )
 
 
 def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
@@ -226,13 +248,21 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
     Ordinary primes are the norms Nm(a + b*beta) = a^2 + t*a*b + n*b^2 of
     lattice points with b >= 1.  Writing u = 2a + t*b, that is
     4 Nm = u^2 + |D| b^2, so for each b the points with norm in [lo, hi]
-    form two runs of a.  Each split p has w such points, all associates or
-    conjugates of each other; the one equal to cornacchia's canonical
-    element, or to its negative, stands for p, with the canonical element.
-    The unit comes from the model's residue rule or else from
-    frobenius_by_sampling, called in increasing p so that an
-    AmbiguousFrobenius names the smallest such p.  Bad primes and p <= 3
-    go through dp_ep.
+    form two runs of a.  Only the points of odd norm are generated: each
+    run becomes one run of step 2 per class of a mod 2 that _odd_classes
+    allows for b mod 2, starting on that class, so a b with no allowed
+    class has no runs and one with both has two.  An even b always allows
+    the one class a odd, so every run has the same step.  That drops half
+    the points for (t, n) = (0, 0) or (0, 1) mod 2 (D4, D8, D12, D16,
+    D28), a quarter for (1, 1) (D3, D11, D19, D27, D43, D67, D163) and
+    three quarters for (1, 0) (D7, whose odd b all give even norms).
+    Each split p has w such points, all associates or conjugates of each
+    other; the one equal to cornacchia's canonical element, or to its
+    negative, stands for p, with the canonical element.  The unit comes
+    from the model's residue rule or else from frobenius_by_sampling,
+    called in increasing p so that an AmbiguousFrobenius names the
+    smallest such p.  Bad primes and p <= 3, p = 2 among them, go through
+    dp_ep.
     """
     hi = int(primes[-1]) if len(primes) else lo
     rows = np.zeros((len(primes), 8), dtype=np.int64)
@@ -253,10 +283,24 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
     umin = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 0)
     tb = t * b
     # u in [umin, umax] and u in [-umax, -max(umin, 1)], with u = t*b (mod 2).
-    starts = np.concatenate((-((tb - umin) // 2), -((tb + umax) // 2)))
-    stops = np.concatenate(((umax - tb) // 2 + 1, (-np.maximum(umin, 1) - tb) // 2 + 1))
-    a, b = _ranges(starts, stops, np.concatenate((b, b)))
-    norms = a * a + t * a * b + n * b * b
+    starts = np.stack((-((tb - umin) // 2), -((tb + umax) // 2)))
+    stops = np.stack(((umax - tb) // 2 + 1, (-np.maximum(umin, 1) - tb) // 2 + 1))
+    # The columns 1 - cb::2 hold the b = cb (mod 2); each allowed class ca
+    # of a for them gives runs of step 2 that start on a = ca (mod 2).
+    runs = [(slice(1 - cb, None, 2), ca)
+            for cb, classes in enumerate(_odd_classes(od)) for ca in classes]
+    a, b = _ranges(
+        np.concatenate([starts[:, j] + (ca - starts[:, j]) % 2 for j, ca in runs], axis=None),
+        np.concatenate([stops[:, j] for j, _ in runs], axis=None),
+        2,
+        np.concatenate([np.stack((b[j], b[j])) for j, _ in runs], axis=None),
+    )
+    # Nm = (a + t*b) * a + n*b^2, built in place: each temporary of the
+    # length of a costs page faults as well as time.
+    norms = t * b
+    norms += a
+    norms *= a
+    norms += n * b * b
     hit = usable[norms - lo]
     a, b, p = a[hit], b[hit], norms[hit]
     ca, cb = _canonical(a, b, od)
@@ -285,10 +329,18 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
     return RecordBlock(rows)
 
 
-def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], keep: bool):
-    """The accumulator over the primes in [lo, hi], and their RecordBlock if keep."""
+def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], keep: bool,
+                render: Callable[[RecordBlock], object] | None = None, guard: bool = False):
+    """The accumulator over the primes in [lo, hi] and, if keep, their
+    RecordBlock, or render(block) if render is given.  With guard, the top
+    of the block is first checked by _check_rule_at_top."""
     block = _sweep(curve, lo, primes_array(hi, lo=lo))
-    return block.accumulator(lo, hi, checkpoints), block if keep else None
+    if guard:
+        _check_rule_at_top(curve, block)
+    acc = block.accumulator(lo, hi, checkpoints)
+    if not keep:
+        return acc, None
+    return acc, block if render is None else render(block)
 
 
 def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
@@ -318,7 +370,8 @@ def scan(
     x_max: int,
     checkpoints: Iterable[int] = (),
     workers: int = 1,
-    records: Callable[[RecordBlock], object] | None = None,
+    records: Callable[[object], object] | None = None,
+    render: Callable[[RecordBlock], object] | None = None,
 ) -> SumAccumulator:
     """Every prime <= x_max's record, folded into one accumulator.
 
@@ -327,30 +380,33 @@ def scan(
     range.  Chunk results are merged in increasing order as they
     arrive, and `records`, if given, is called with each chunk's
     RecordBlock (iterating it yields the PrimeRecords in increasing p), so
-    memory does not grow with x_max.  Every value is exact and depends on
-    no random stream, so records and accumulator are the same at any worker
-    count and chunk span.  Past RULES_CHECKED_TO, a model with a rule has
-    the top of its last range, a full one, checked by point sampling.
+    memory does not grow with x_max.  `render`, a picklable function, is
+    applied to each RecordBlock in the process that swept it, and
+    `records` receives its result instead: that moves, say, CSV formatting
+    into the workers, and only its result crosses back.  Every value is
+    exact and depends on no random stream, so records and accumulator are
+    the same at any worker count and chunk span.  Past RULES_CHECKED_TO, a
+    model with a rule has the top of its last range, a full one, checked
+    by point sampling in the job that sweeps it.  x_max must lie below
+    X_MAX_LIMIT; a larger bound raises ValueError before any job is built.
     """
-    if x_max < 2:
-        raise ValueError("x_max must be at least 2")
+    if not 2 <= x_max < X_MAX_LIMIT:
+        raise ValueError(f"x_max must lie in [2, 2^50), got {x_max}")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
     keep = records is not None
     guard = x_max > RULES_CHECKED_TO and rule_for(curve) is not None
     jobs = [
-        (curve, max(hi - CHUNK_SPAN + 1, 2), hi, cps, keep or (guard and hi == x_max))
+        (curve, max(hi - CHUNK_SPAN + 1, 2), hi, cps, keep, render, guard and hi == x_max)
         for hi in reversed(range(x_max, 1, -CHUNK_SPAN))
     ]
     parallel = workers > 1 and len(jobs) > 1
     acc = None
     with Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
         parts = pool.imap(_scan_chunk_star, jobs) if parallel else map(_scan_chunk_star, jobs)
-        for part, block in parts:
+        for part, kept in parts:
             acc = part if acc is None else merge(acc, part)
             if keep:
-                records(block)
-    if guard:
-        _check_rule_at_top(curve, block)
+                records(kept)
     return acc
 
 

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cmfactors
 
 from cmfactors import stats
-from cmfactors.cli import CSV_HEADER, main
-from cmfactors.frobenius import AmbiguousFrobenius
+from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, main
+from cmfactors.frobenius import KINDS, AmbiguousFrobenius
+from cmfactors.stats import RecordBlock
 
 
 def run(capsys, *argv):
@@ -172,6 +174,32 @@ def test_table_override_scan(tmp_path, capsys):
     assert json.loads(stdout[stdout.index("{"):])["sum_dp"] == 16
 
 
+def _rows(values):
+    return RecordBlock(np.array(values, dtype=np.int64).reshape(-1, 8))
+
+
+def test_block_bytes_matches_record_lines():
+    # The byte formatter against _record_line, its exact slow path.
+    edges = [0, 1, 2**32 - 1, 2**32, 2**62 - 1] + [
+        v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+    rng = np.random.default_rng(5)
+    random_rows = rng.integers(-(2**62) + 1, 2**62, size=(2000, 8)) >> rng.integers(0, 62, size=(2000, 8))
+    random_rows[:, 1] = rng.integers(0, len(KINDS), size=2000)
+    blocks = [
+        _rows([]),
+        _rows([[7, 1, -3, 2, -1, 11, 2, 4]]),
+        # Every kind; negative a_p, pi_a and pi_b; all-zero columns.
+        _rows([[p, k, -(p % 7), -p, p % 3 - 1, 0, 0, 0] for k in range(len(KINDS))
+               for p in (2, 3, 101, 99991)]),
+        # Each edge alone, so it sets its column's width, then all together.
+        *(_rows([[v, i % len(KINDS), v, -v, v, v, -v, v]]) for i, v in enumerate(edges)),
+        _rows([[v, i % len(KINDS), -v, v, -v, v, v, v] for i, v in enumerate(edges)]),
+        RecordBlock(random_rows),
+    ]
+    for block in blocks:
+        assert _block_bytes(block) == "".join(_record_line(r) + "\n" for r in block).encode()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,6 +222,9 @@ def test_table_override_scan(tmp_path, capsys):
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
         ["scan", "--curve", "D163", "--custom=-1,0,-1,1", "--xmax", "100"],
         ["scan", "--table", "TABLE", "--custom=-1,0,-1,1", "--xmax", "100"],
+        ["scan", "--curve", "D4", "--xmax", str(10**20)],
+        ["scan", "--curve", "D4", "--xmax", str(2**50)],
+        ["identity", "--curve", "D4", "--x", str(10**20)],
     ],
     ids=[
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
@@ -202,6 +233,7 @@ def test_table_override_scan(tmp_path, capsys):
         "bt-g-5", "bt-mu-not-integer", "trivlem-trials-negative",
         "out-unwritable", "workers-0", "workers-negative",
         "custom-with-curve", "custom-with-table",
+        "xmax-1e20", "xmax-2^50", "identity-x-1e20",
     ],
 )
 def test_bad_argument_values_exit_2(tmp_path, capsys, argv):

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from cmfactors import stats
 from cmfactors.cli import main
 
 DIGESTS = {
@@ -48,3 +49,11 @@ def test_scan_output_digest(tmp_path, capsys, label):
 
 def test_scan_output_digest_two_workers(tmp_path, capsys):
     assert _digest(tmp_path, capsys, "j1728-D4", 2) == DIGESTS["j1728-D4"]
+
+
+@pytest.mark.parametrize("label", ["j1728-D4", "j0-D3"])
+def test_scan_output_digest_at_an_odd_span(tmp_path, capsys, monkeypatch, label):
+    # Ranges of an odd span start on both parities of a and hand the CSV
+    # formatter blocks of a few rows; the output must not change.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 997)
+    assert _digest(tmp_path, capsys, label, 1) == DIGESTS[label]

@@ -60,6 +60,17 @@ def test_scan_rejects_tiny_bound(curve_d4):
         scan(curve_d4, 1)
 
 
+def test_scan_rejects_bound_past_limit(curve_d4, monkeypatch):
+    # The bound is checked before any job is built: a job list for 2^50
+    # would hold about 1.7 * 10^10 tuples.  Should the check go, this span
+    # makes one job, and the missing sieve fails it at once.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 1 << 70)
+    monkeypatch.setattr(stats, "primes_array", None)
+    for x in (stats.X_MAX_LIMIT, 10**20):
+        with pytest.raises(ValueError, match="2\\^50"):
+            scan(curve_d4, x)
+
+
 def test_merge_equals_monolithic(curve_d4, monkeypatch):
     x = 2 * 10**4
     mono = _scan_with_records(curve_d4, x)
@@ -246,6 +257,72 @@ def test_scan_catches_a_corrupted_rule(curve_d4, monkeypatch):
     monkeypatch.setattr(stats, "rule_for", lambda curve: wrong)
     with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
         scan(curve_d4, stats.RULES_CHECKED_TO + 100)
+
+
+def test_scan_catches_a_corrupted_rule_in_a_worker(curve_d4, monkeypatch):
+    # The job that sweeps the top range runs the check, here in a forked
+    # worker, and its ArithmeticError reaches the caller.
+    wrong = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(3, 0), (1, 2)])
+    monkeypatch.setattr(stats, "rule_for", lambda curve: wrong)
+    with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
+        scan(curve_d4, stats.RULES_CHECKED_TO + 100, workers=2)
+
+
+def test_ranges_matches_python_ranges():
+    rng = random.Random(11)
+    for step in (1, 2):
+        for _ in range(200):
+            k = rng.randint(0, 8)
+            starts = [rng.randint(-30, 30) for _ in range(k)]
+            stops = [s + rng.randint(-6, 15) for s in starts]
+            tags = [rng.randint(1, 99) for _ in range(k)]
+            x, t = stats._ranges(*(np.array(v, dtype=np.int64) for v in (starts, stops)),
+                                 step, np.array(tags, dtype=np.int64))
+            want = [(v, tag) for s, e, tag in zip(starts, stops, tags) for v in range(s, e, step)]
+            assert list(zip(x.tolist(), t.tolist())) == want, (starts, stops, step)
+
+
+def test_odd_classes_are_the_odd_norms():
+    # For each order, the kept classes of (a, b) mod 2 give odd norms and
+    # the dropped ones even norms, by quadorder.norm on a block of points.
+    for curve in curve_table():
+        od = curve.order
+        kept = stats._odd_classes(od)
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                assert (norm(QuadInt(a, b, od)) % 2 == 1) == (a % 2 in kept[b % 2]), curve.label
+
+
+@pytest.mark.parametrize("label,share", [("D4", 1 / 2), ("D3", 3 / 4), ("D7", 1 / 4),
+                                         ("D163", 3 / 4)])
+def test_sweep_generates_only_points_of_odd_norm(monkeypatch, label, share):
+    # The lattice points the sweep builds for one range are exactly those
+    # of odd norm in it, the given share of all its points.
+    generated = []
+    ranges = stats._ranges
+
+    def recording(*args):
+        a, b = ranges(*args)
+        generated.append((a, b))
+        return a, b
+
+    monkeypatch.setattr(stats, "_ranges", recording)
+    curve = get_curve(label)
+    od = curve.order
+    t, n, D = od.beta_trace, od.beta_norm, -od.disc
+    lo = 10**6 - stats.CHUNK_SPAN + 1
+    hi = int(stats.primes_array(10**6, lo=lo)[-1])  # the sweep's range ends at its last prime
+    _scan_chunk(curve, lo, 10**6, (), False)
+    (a, b), = generated
+    bmax = math.isqrt(4 * hi // D)
+    grid_a, grid_b = np.meshgrid(np.arange(-math.isqrt(4 * hi) - bmax, math.isqrt(4 * hi) + bmax),
+                                 np.arange(1, bmax + 1))
+    norms = grid_a * grid_a + t * grid_a * grid_b + n * grid_b * grid_b
+    in_range = (norms >= lo) & (norms <= hi)
+    odd = in_range & (norms % 2 == 1)
+    assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(grid_a[odd].tolist(),
+                                                              grid_b[odd].tolist()))
+    assert abs(len(a) / in_range.sum() - share) < 5e-3
 
 
 def test_sweep_check_tool_imports():
