@@ -102,8 +102,9 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[Q
     points kill wrong claims: first by the cheap order test
     (p+1)P = t_u P, then, among survivors, by the claimed exponent
     e_u P = infinity.  If sampling stalls, an exact point count settles it;
-    only an impossible mismatch raises.  Without `rng`, the generator is
-    seeded by p alone; without `pi0`, solve_norm gives the norm-p element.
+    an impossible mismatch raises AmbiguousFrobenius, and so does a p past
+    oracle.COUNT_BOUND, where no count is made.  Without `rng`, the generator
+    is seeded by p alone; without `pi0`, solve_norm gives the norm-p element.
     """
     if rng is None:
         rng = _default_rng(p)
@@ -143,8 +144,11 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[Q
     if len(cands) == 1:
         return cands[0][0], cands[0][2]
     # Sampling cannot separate claims whose exponents divide each other's
-    # orders; the exact count is a last-resort discriminator.
-    n_true = count_points(curve, p)
+    # orders; the exact count is a last-resort discriminator, below its bound.
+    try:
+        n_true = count_points(curve, p)
+    except ValueError:
+        raise AmbiguousFrobenius(p) from None
     matches = [cd for cd in cands if cd[2] == n_true]
     if len(matches) == 1:
         return matches[0][0], matches[0][2]

@@ -4,9 +4,10 @@ Enumerates E(F_p) directly and computes the invariant factors (d, e) by
 exact torsion counting: d's q-adic valuation is the largest j for which
 the q^j-torsion is fully rational, measured over every point of the group.
 One counting pass over x mod p against a table of squares gives #E(F_p)
-and the roots of the cubic, which settle the first 2-torsion level.  Only
-a level past that builds the points and a table of inverses mod p; the
-group law then runs on one lane per {P, -P}, weighted by the pair's size.
+and the roots of the cubic, which settle the first 2-torsion level.  Every
+other level evaluates the division polynomial psi_(q^j) on one lane per x
+whose rhs is a nonzero square, that is per pair {P, -P}: no inverses, no
+square roots and no group law.
 """
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ from .eccurve import CmCurve, Point, _scalar_mul
 from .primesieve import factorize
 
 ENUMERATION_BOUND = 10**5
+
+# count_points works for p <= COUNT_BOUND: the counting pass's largest int64
+# value, (x^2 mod p + A mod p) x + B mod p, is below 2 p^2 <= 2^63.
+COUNT_BOUND = 1 << 31
 
 # The counting pass and the table of squares work on slices of this many residues,
 # so their int64 temporaries stay bounded for large p.
@@ -34,106 +39,106 @@ def _slices(lo: int, hi: int):
         yield np.arange(start, min(start + _COUNT_CHUNK, hi), dtype=np.int64)
 
 
+def _mod(v, p: int):
+    """v mod p, in place on an int64 array (or on an int): equal to v % p for
+    every int64 v, and faster than % on an array."""
+    v -= v // p * p
+    return v
+
+
 def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
-    """(x^2 + A) x + B mod p; one reduction while p^3 fits in int64, and one
-    expression, so numpy reuses each temporary in place."""
-    a, b = curve.A % p, curve.B % p
-    return (((xs * xs if p < 1 << 21 else xs * xs % p) + a) * xs + b) % p
+    """(x^2 + A) x + B mod p, in place on one temporary; x^2 is reduced only
+    from p = 2^21, where (x^2 + A) x stops fitting in int64."""
+    r = xs * xs
+    if p >= 1 << 21:
+        _mod(r, p)
+    r += curve.A % p
+    r *= xs
+    r += curve.B % p
+    return _mod(r, p)
 
 
-def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray]:
-    """#E(F_p), #roots of x^3 + Ax + B mod p, and rhs over the last slice of
-    x mod p, which is every x for p <= ENUMERATION_BOUND."""
-    sq = np.zeros(p, dtype=bool)  # the nonzero squares mod p, one byte per residue
+def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """#E(F_p), #roots of x^3 + Ax + B mod p, rhs over the last slice of x mod
+    p (every x for p <= ENUMERATION_BOUND), and the table of nonzero squares."""
+    sq = np.zeros(p, dtype=bool)  # one byte per residue
     for xs in _slices(1, (p + 1) // 2):
-        sq[xs * xs % p] = True
+        sq[_mod(xs * xs, p)] = True
     n, roots = 1, 0
     for xs in _slices(0, p):
         rhs = _rhs(curve, p, xs)
         roots += int(np.count_nonzero(rhs == 0))
         n += 2 * int(np.count_nonzero(sq[rhs]))
-    return n + roots, roots, rhs
+    return n + roots, roots, rhs, sq
 
 
 def count_points(curve: CmCurve, p: int) -> int:
-    """#E(F_p) by direct quadratic-residue counting; works to large p."""
+    """#E(F_p) by direct quadratic-residue counting, for p <= COUNT_BOUND."""
     if p in curve.bad_primes:
         raise ValueError(f"p={p} is a bad prime for {curve.label}")
+    if p > COUNT_BOUND:
+        raise ValueError(f"p={p} outside the counting bound {COUNT_BOUND}")
     return _counting_pass(curve, p)[0]
-
-
-def _affine_arrays(p: int, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One affine point per {P, -P}: x, y with y <= p // 2, those with y = 0 first."""
-    root = np.zeros(p, dtype=np.int64)
-    ys = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    root[ys * ys % p] = ys
-    y = root[rhs]
-    X = np.concatenate([np.flatnonzero(rhs == 0), np.flatnonzero(y)])
-    return X, y[X]
 
 
 def enumerate_points(curve: CmCurve, p: int) -> list[Point]:
     """All points of E(F_p) including infinity (as None)."""
     _check_p(curve, p)
-    X, Y = _affine_arrays(p, _rhs(curve, p, np.arange(p, dtype=np.int64)))
-    smooth = Y != 0
+    rhs = _rhs(curve, p, np.arange(p, dtype=np.int64))
+    root = np.zeros(p, dtype=np.int64)  # root[y^2 mod p] = y for 0 < y <= p // 2
+    ys = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    root[ys * ys % p] = ys
+    y = root[rhs]
+    X = np.flatnonzero(y)
+    Y = y[X]
     points: list[Point] = [None]
-    points.extend(zip(X.tolist(), np.where(smooth, p - Y, 0).tolist()))
-    points.extend(zip(X[smooth].tolist(), Y[smooth].tolist()))
+    points.extend((x, 0) for x in np.flatnonzero(rhs == 0).tolist())
+    points.extend(zip(X.tolist(), (p - Y).tolist()))
+    points.extend(zip(X.tolist(), Y.tolist()))
     return points
 
 
-def _inverses(p: int) -> np.ndarray:
-    """inv[x] = x^-1 mod p for 0 < x < p, and inv[0] = 0, for a prime p.
+def _division_values(n: int, x: np.ndarray, r: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
+    """f_n(x) mod p on the lanes x, for 5 <= p < 2^17 and r = x^3 + ax + b.
 
-    With g a generator, powers[k] = g^k runs over the units, and the
-    inverse of g^k is g^(p-1-k).  The powers double in length each pass.
+    psi_n = f_n for odd n and 2y f_n for even n, with y^2 = r, so f_n is a
+    polynomial in x alone (Washington, Elliptic Curves, 3.2).  The f_m are
+    built in increasing m over the indices the recurrences reach from n;
+    f_1 = f_2 = 1 stay the int 1.  With p < 2^17 every product stays under
+    p^3 < 2^63.
     """
-    qs = [q for q, _ in factorize(p - 1)]
-    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
-    powers = np.ones(1, dtype=np.int64)
-    while len(powers) < p - 1:
-        powers = np.concatenate([powers, powers * pow(g, len(powers), p) % p])
-    powers = powers[: p - 1]
-    inv = np.zeros(p, dtype=np.int64)
-    inv[powers] = powers[-np.arange(p - 1) % (p - 1)]
-    return inv
-
-
-def _vec_double(x, y, inf, a, p, inv):
-    """Lane-wise P + P; inf is the infinity mask, inv the table of inverses."""
-    s = (3 * x * x + a) * inv[2 * y % p] % p
-    x3 = (s * s - 2 * x) % p
-    return x3, (s * (x - x3) - y) % p, inf | (y == 0)
-
-
-def _vec_add(x1, y1, i1, x2, y2, i2, a, p, inv):
-    """Lane-wise P + Q on point arrays; i* are infinity masks, inv as in _vec_double."""
-    dx = (x2 - x1) % p
-    same_x = dx == 0
-    vert = same_x & ((y1 + y2) % p == 0)
-    dbl = same_x & ~vert
-    num = np.where(dbl, (3 * x1 * x1 + a) % p, (y2 - y1) % p)
-    den = np.where(dbl, 2 * y1 % p, dx)
-    s = num * inv[den] % p
-    x3 = (s * s - x1 - x2) % p
-    y3 = (s * (x1 - x3) - y1) % p
-    x3 = np.where(i1, x2, np.where(i2, x1, x3))
-    y3 = np.where(i1, y2, np.where(i2, y1, y3))
-    i3 = np.where(i1, i2, np.where(i2, i1, vert))
-    return x3, y3, i3
-
-
-def _vec_scalar_mul(n, X, Y, INF, a, p, inv):
-    """n (X, Y) for n >= 1 by double-and-add; R starts at the lowest set bit."""
-    R, Q = None, (X, Y, INF)
-    while True:
-        if n & 1:
-            R = Q if R is None else _vec_add(*R, *Q, a, p, inv)
-        n >>= 1
-        if not n:
-            return R
-        Q = _vec_double(*Q, a, p, inv)
+    assert 5 <= p < 1 << 17, p
+    need, todo = set(), [n]
+    while todo:
+        m = todo.pop()
+        if m > 4 and m not in need:
+            k = m // 2
+            todo.extend(range(k - 1, k + 3) if m & 1 else range(k - 2, k + 3))
+        need.add(m)
+    x2 = _mod(x * x, p)
+    r16 = _mod(16 * r * r, p) if n > 4 else None
+    f = {1: 1, 2: 1}
+    for m in sorted(need - {1, 2}):
+        k = m // 2
+        if m == 3:  # 3x^4 + 6ax^2 + 12bx - a^2
+            v = (3 * x2 + 6 * a) * x2 + 12 * b % p * x - a * a
+        elif m == 4:  # 2(x^6 + 5ax^4 + 20bx^3 - 5a^2x^2 - 4abx - 8b^2 - a^3)
+            v = _mod((2 * x2 + 10 * a % p) * x2, p) - 10 * a * a % p
+            v *= x2
+            v += _mod(40 * b % p * x2 - 8 * a * b % p, p) * x - (16 * b * b + 2 * a**3) % p
+        elif m & 1:  # f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3, 16 r^2 on the even-indexed pair
+            u = _mod(f[k] * f[k], p) * f[k] * f[k + 2]
+            w = _mod(f[k + 1] * f[k + 1], p) * f[k + 1] * f[k - 1]
+            if k & 1:
+                w = _mod(w, p) * r16
+            else:
+                u = _mod(u, p) * r16
+            v = u - w
+        else:  # f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2)
+            v = f[k + 2] * _mod(f[k - 1] * f[k - 1], p) - f[k - 2] * _mod(f[k + 1] * f[k + 1], p)
+            v *= f[k]
+        f[m] = _mod(v, p)
+    return f[n]
 
 
 def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
@@ -142,33 +147,27 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     For each prime q, the q-valuation of d is the largest j with
     #{P : q^j P = infinity} = q^(2j); the count runs over the whole group,
     so the result is exact.  Candidate primes are cut down first: full
-    q-torsion forces q | p - 1 (Weil pairing) and q^2 | N.  For q = 2, level
-    j counts the P with 2^(j-1) P = O or with y = 0, so level 1 is 1 + the
-    cubic's roots.  Other levels run the group law on one lane per {P, -P},
-    weighted by its size (exact: [n](-P) = -[n]P, and -Q = O iff Q = O); the
-    lanes and the table of inverses are built when first needed.
+    q-torsion forces q | p - 1 (Weil pairing) and q^2 | N.  The 2-torsion is
+    infinity and the cubic's roots, so level q = 2, j = 1 is 1 + roots.  Any
+    other level needs q^(2j) | N with N <= p + 1 + 2 sqrt(p), hence p >= 5,
+    and tests [n]P = O, n = q^j, as psi_n(P) = 0 (exact for P != O and
+    q != p).  Each x with rhs a nonzero square is one lane for its two
+    points; the y = 0 points lie in E[2^j] and in no E[q^j] for odd q.
     """
     _check_p(curve, p)
-    N, roots, rhs = _counting_pass(curve, p)
-    a, d, lanes = curve.A % p, 1, None
+    N, roots, rhs, sq = _counting_pass(curve, p)
+    d, X = 1, None
     for q, k in factorize(N):
         if k < 2 or (p - 1) % q:
             continue
-        T = None
         for j in range(1, k // 2 + 1):
             if q == 2 and j == 1:
                 killed = roots
             else:
-                lanes = lanes or (*_affine_arrays(p, rhs), _inverses(p))
-                X, Y, inv = lanes
-                T = T or (X, Y, np.zeros(len(X), dtype=bool))
-                if q == 2:  # T = 2^(j-1) P, and 2^j P = O iff T = O or T has y = 0
-                    T = _vec_double(*T, a, p, inv)
-                    hit = T[2] | (T[1] == 0)
-                else:
-                    T = _vec_scalar_mul(q, *T, a, p, inv)
-                    hit = T[2]
-                killed = int(hit.sum()) + int((Y[hit] != 0).sum())  # P, and -P if y != 0
+                if X is None:
+                    X = np.flatnonzero(sq[rhs])
+                f = _division_values(q**j, X, rhs[X], curve.A % p, curve.B % p, p)
+                killed = 2 * (len(f) - int(np.count_nonzero(f))) + (roots if q == 2 else 0)
             if 1 + killed != q ** (2 * j):
                 break
             d *= q

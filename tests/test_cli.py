@@ -8,7 +8,7 @@ import pytest
 
 import cmfactors
 
-from cmfactors import stats
+from cmfactors import frobenius, oracle, stats
 from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, main
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.stats import RecordBlock
@@ -283,3 +283,20 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_count_past_its_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # Sampling that stalls falls back to count_points; past COUNT_BOUND
+    # (lowered here, so the scan stays small) the scan ends with the one-line
+    # ambiguity message and exit 3, never with a miscount or a traceback.
+    monkeypatch.setattr(oracle, "COUNT_BOUND", 50)
+    monkeypatch.setattr(frobenius, "MAX_SAMPLE_POINTS", 0)
+    table = tmp_path / "table.txt"
+    table.write_text("j1728-D4 -4 0 -1 1 2\n")
+    code, _, err = run(
+        capsys, "scan", "--table", str(table), "--curve", "j1728-D4", "--xmax", "200",
+        "--workers", "1",
+    )
+    assert code == 3
+    p = int(err.removeprefix("ambiguous Frobenius at p="))
+    assert p > 50 and err == f"ambiguous Frobenius at p={p}\n"

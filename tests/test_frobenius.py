@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cmfactors import frobenius, oracle
 from cmfactors.cli import main
 from cmfactors.eccurve import curve_table, custom_curve, get_curve, load_table
 from cmfactors.frobenius import (
@@ -18,7 +19,7 @@ from cmfactors.frobenius import (
 )
 from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, parse_rules, rule_for
 from cmfactors.oracle import count_points, group_structure
-from cmfactors.primesieve import primes_upto
+from cmfactors.primesieve import factorize, primes_upto
 from cmfactors.quadorder import QuadInt, conj, content, norm, trace
 from cmfactors.stats import scan
 
@@ -141,6 +142,21 @@ def test_ambiguous_frobenius_carries_prime():
     err = AmbiguousFrobenius(101)
     assert err.p == 101
     assert "101" in str(err)
+
+
+def test_sampling_past_count_bound_is_ambiguous(curve_d4, monkeypatch):
+    # With no sampling rounds, every candidate reaches the exact count, and
+    # past COUNT_BOUND count_points refuses before building anything.
+    def forbidden(*args):
+        raise AssertionError("counting pass started")
+
+    p = 2147483693
+    assert factorize(p) == [(p, 1)] and p > oracle.COUNT_BOUND
+    monkeypatch.setattr(frobenius, "MAX_SAMPLE_POINTS", 0)
+    monkeypatch.setattr(oracle, "_counting_pass", forbidden)
+    with pytest.raises(AmbiguousFrobenius) as err:
+        frobenius_by_sampling(p, curve_d4)
+    assert err.value.p == p
 
 
 def test_packaged_rules_cover_the_table_models():

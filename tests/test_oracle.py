@@ -1,19 +1,19 @@
 import math
+import random
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from cmfactors import oracle
-from cmfactors.eccurve import _add, _scalar_mul, scalar_mul
+from cmfactors.eccurve import CmCurve, _scalar_mul, model_bad_primes, scalar_mul
 from cmfactors.frobenius import dp_ep
 from cmfactors.oracle import (
+    COUNT_BOUND,
     ENUMERATION_BOUND,
     _counting_pass,
-    _inverses,
-    _vec_add,
-    _vec_double,
-    _vec_scalar_mul,
+    _division_values,
+    _mod,
     count_points,
     element_orders,
     enumerate_points,
@@ -69,11 +69,13 @@ def test_counting_pass_matches_enumeration(all_curves):
         for p in primes_upto(2000):
             if p in curve.bad_primes:
                 continue
-            n, roots, rhs = _counting_pass(curve, p)
+            n, roots, rhs, sq = _counting_pass(curve, p)
             pts = enumerate_points(curve, p)
             assert n == len(pts), (curve.label, p)
             assert roots == sum(1 for P in pts if P and P[1] == 0), (curve.label, p)
-            assert len(rhs) == p
+            if p < 300:
+                assert rhs.tolist() == [curve.rhs(x, p) for x in range(p)], (curve.label, p)
+                assert np.flatnonzero(sq).tolist() == sorted({y * y % p for y in range(1, p)})
 
 
 def test_count_points_at_large_p(all_curves):
@@ -86,7 +88,7 @@ def test_count_points_at_large_p(all_curves):
 
 def _levels(curve, p):
     """Which torsion levels group_structure tests: (2-adic reaches j >= 2, an odd q passes)."""
-    n, roots, _ = _counting_pass(curve, p)
+    n, roots, *_ = _counting_pass(curve, p)
     cut = {q: k for q, k in factorize(n) if k >= 2 and (p - 1) % q == 0}
     return cut.get(2, 0) >= 4 and roots == 3, any(q > 2 for q in cut)
 
@@ -114,10 +116,9 @@ def test_first_two_torsion_level_needs_no_group_law(all_curves, monkeypatch):
                 cases.append((curve, p, group_structure(curve, p)))
 
     def forbidden(*args):
-        raise AssertionError("group law tables built")
+        raise AssertionError("division polynomial evaluated")
 
-    monkeypatch.setattr(oracle, "_inverses", forbidden)
-    monkeypatch.setattr(oracle, "_affine_arrays", forbidden)
+    monkeypatch.setattr(oracle, "_division_values", forbidden)
     assert any(d % 2 == 0 for _, _, (d, _) in cases)
     for curve, p, expected in cases:
         assert group_structure(curve, p) == expected, (curve.label, p)
@@ -183,56 +184,127 @@ def test_element_orders_divide_group_order(curve_d4):
             assert scalar_mul(o, P, curve_d4, p) is None if P else o == 1
 
 
-def test_inverse_table():
-    near_bound = [p for p in primes_upto(ENUMERATION_BOUND) if p > ENUMERATION_BOUND - 300]
-    for p in primes_upto(10**4) + near_bound:
-        xs = np.arange(p, dtype=np.int64)
-        inv = _inverses(p)
-        assert inv[0] == 0, p
-        assert (xs[1:] * inv[1:] % p == 1).all(), p
+def test_mod_matches_python_mod():
+    rng = np.random.default_rng(20261018)
+    for p in (2, 3, 5, 97, 131071, 2**31 - 1, 2**61 - 1):
+        v = rng.integers(-(2**62) + 1, 2**62, size=5000, dtype=np.int64)
+        v[:6] = [0, -1, 2**62 - 1, -(2**62) + 1, 2**63 - 1, -(2**63)]
+        assert (_mod(v.copy(), p) == v % p).all(), p
+        for x in v[:50].tolist():
+            assert _mod(x, p) == x % p, (x, p)
 
 
-def _lanes(points):
-    """Point list (None for infinity) as x, y arrays and an infinity mask."""
-    xs = np.array([P[0] if P else 0 for P in points], dtype=np.int64)
-    ys = np.array([P[1] if P else 0 for P in points], dtype=np.int64)
-    return xs, ys, np.array([P is None for P in points])
-
-
-def _points(lanes):
-    x, y, inf = lanes
-    return [None if i else (a, b) for a, b, i in zip(x.tolist(), y.tolist(), inf.tolist())]
-
-
-def test_vector_kernels_match_scalar_group_law(all_curves):
-    # Every pair of points, so the lanes include infinity on either side,
-    # 2-torsion points, P + (-P) and P + P inside _vec_add.
-    two_torsion = 0
+def test_division_values_match_scalar_group_law(all_curves):
+    # Every point with y != 0 at small p, on the lanes group_structure builds:
+    # psi_n(P) = 0 exactly when [n]P = O, n = 1..27, including n divisible by
+    # p.  f_1 = f_2 = 1 come back as an int and are broadcast.
+    hits = 0
     for curve in all_curves:
         for p in KERNEL_PRIMES:
-            if p in curve.bad_primes:
+            if p < 5 or p in curve.bad_primes:
                 continue
-            a = curve.A % p
-            inv = _inverses(p)
-            pts = enumerate_points(curve, p)
-            two_torsion += sum(1 for P in pts if P and P[1] == 0)
-            doubled = _points(_vec_double(*_lanes(pts), a, p, inv))
-            assert doubled == [_add(P, P, a, p) for P in pts], (curve.label, p)
-            left = [P for P in pts for _ in pts]
-            right = pts * len(pts)
-            summed = _points(_vec_add(*_lanes(left), *_lanes(right), a, p, inv))
-            assert summed == [_add(P, Q, a, p) for P, Q in zip(left, right)], (curve.label, p)
-    assert two_torsion > 0
+            _, _, rhs, sq = _counting_pass(curve, p)
+            X = np.flatnonzero(sq[rhs])
+            pts = [P for P in enumerate_points(curve, p) if P and P[1]]
+            assert len(pts) == 2 * len(X)
+            a, b = curve.A % p, curve.B % p
+            for n in range(1, 28):
+                f = np.broadcast_to(_division_values(n, X, rhs[X], a, b, p), X.shape)
+                killed = {P[0] for P in pts if _scalar_mul(n, P, a, p) is None}
+                assert set(X[f == 0].tolist()) == killed, (curve.label, p, n)
+                hits += len(killed)
+    assert hits > 0
 
 
-def test_vector_scalar_mul_matches_scalar(all_curves):
+def _f_exact(n, x, r, a, b, p, memo):
+    """f_n(x) mod p on one x by the recurrences on Python ints; no overflow possible."""
+    if n not in memo:
+        k = n // 2
+        if n <= 2:
+            v = 1
+        elif n == 3:
+            v = 3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a
+        elif n == 4:
+            v = 2 * (x**6 + 5 * a * x**4 + 20 * b * x**3 - 5 * a * a * x * x - 4 * a * b * x - 8 * b * b - a**3)
+        elif n & 1:
+            u = _f_exact(k + 2, x, r, a, b, p, memo) * _f_exact(k, x, r, a, b, p, memo) ** 3
+            w = _f_exact(k - 1, x, r, a, b, p, memo) * _f_exact(k + 1, x, r, a, b, p, memo) ** 3
+            v = 16 * r * r * u - w if k % 2 == 0 else u - 16 * r * r * w
+        else:
+            v = _f_exact(k, x, r, a, b, p, memo) * (
+                _f_exact(k + 2, x, r, a, b, p, memo) * _f_exact(k - 1, x, r, a, b, p, memo) ** 2
+                - _f_exact(k - 2, x, r, a, b, p, memo) * _f_exact(k + 1, x, r, a, b, p, memo) ** 2
+            )
+        memo[n] = v % p
+    return memo[n]
+
+
+def test_division_values_near_enumeration_bound(all_curves):
+    # The overflow edge: the three largest primes the oracle accepts.  Each
+    # sampled point comes with a multiple that n kills, so both outcomes occur.
+    ns = (3, 4, 5, 7, 8, 9, 16, 25, 27, 64, 81)
+    top = primes_upto(ENUMERATION_BOUND)[-3:]
+    rng = random.Random(20261018)
+    hits = 0
     for curve in all_curves:
-        for p in KERNEL_PRIMES:
+        for p in top:
             if p in curve.bad_primes:
                 continue
-            a = curve.A % p
-            inv = _inverses(p)
+            a, b = curve.A % p, curve.B % p
             pts = enumerate_points(curve, p)
-            for n in range(1, 13):
-                got = _points(_vec_scalar_mul(n, *_lanes(pts), a, p, inv))
-                assert got == [_scalar_mul(n, P, a, p) for P in pts], (curve.label, p, n)
+            N = len(pts)
+            sample = rng.sample(pts[1:], 20)
+            for n in ns:
+                lanes = sample + [_scalar_mul(N // math.gcd(n, N), P, a, p) for P in sample]
+                lanes = [P for P in lanes if P and P[1]]
+                X = np.array([P[0] for P in lanes], dtype=np.int64)
+                r = np.array([curve.rhs(x, p) for x in X.tolist()], dtype=np.int64)
+                f = _division_values(n, X, r, a, b, p).tolist()
+                assert f == [_f_exact(n, x, y * y, a, b, p, {}) for x, y in lanes], (curve.label, p, n)
+                killed = [_scalar_mul(n, P, a, p) is None for P in lanes]
+                assert [v == 0 for v in f] == killed, (curve.label, p, n)
+                hits += sum(killed)
+    assert hits > 0
+
+
+def test_count_points_refuses_p_past_count_bound(curve_d4, monkeypatch):
+    # The check comes before any table is built; a count is never run here.
+    def forbidden(*args):
+        raise AssertionError("counting pass started")
+
+    monkeypatch.setattr(oracle, "_counting_pass", forbidden)
+    for p in (COUNT_BOUND + 11, 2**61 - 1):
+        with pytest.raises(ValueError, match="counting bound"):
+            count_points(curve_d4, p)
+    assert COUNT_BOUND * COUNT_BOUND < 2**63
+
+
+def test_rhs_exact_up_to_count_bound(all_curves):
+    # At the largest prime count_points accepts, (x^2 mod p + A mod p) x can
+    # come within 2^34 of 2^63; a sample of x, and no count, checks the cubic.
+    p = 2**31 - 1
+    assert factorize(p) == [(p, 1)] and p <= COUNT_BOUND < p + 2
+    xs = random.Random(20261018).sample(range(p), 3000) + list(range(p - 100, p))
+    for curve in all_curves:
+        got = oracle._rhs(curve, p, np.array(xs, dtype=np.int64)).tolist()
+        assert got == [curve.rhs(x, p) for x in xs], curve.label
+
+
+def test_oracle_on_curves_without_cm(curve_d4):
+    # psi_n is generic, so the oracle must hold on any nonsingular model; it
+    # reads only A, B and the bad primes (D4's order is a placeholder).
+    rng = random.Random(20261018)
+    seen = [0, 0]
+    for i in range(10):
+        while True:
+            A, B = rng.randint(-60, 60), rng.randint(-60, 60)
+            if 4 * A**3 + 27 * B**2:
+                break
+        curve = CmCurve(f"random-{i}", A, B, curve_d4.order, model_bad_primes(A, B))
+        for p in primes_upto(300):
+            if p in curve.bad_primes:
+                continue
+            seen = [s + x for s, x in zip(seen, _levels(curve, p))]
+            e = max(element_orders(curve, p))
+            assert group_structure(curve, p) == (count_points(curve, p) // e, e), (A, B, p)
+    assert min(seen) > 0, seen
