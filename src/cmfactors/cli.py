@@ -308,10 +308,9 @@ def cmd_aux(args) -> int:
         alpha = _parse_pair(args.alpha, od)
         try:
             count = stats.bt_counter(args.x, mu, alpha)
-            ratio = stats.bt_ratio(args.x, mu, alpha)
         except ValueError as e:
             raise SystemExit2(str(e))
-        print(f"count={count} ratio={ratio:.6f}")
+        print(f"count={count} ratio={stats.bt_ratio(args.x, mu, count):.6f}")
         return 0
     if args.aux_command == "trivlem":
         if args.trials < 1:

@@ -11,10 +11,11 @@ ratios go through floating point.
 Every range is swept as arrays: its lattice points of prime norm give the
 ordinary primes with Cornacchia's element, whose unit a residue rule
 (frobrules) or, for a model without one, point sampling picks; residue
-tables of p give the supersingular d_p.  The sweep builds only the points
-whose parity classes (a mod 2, b mod 2) give an odd norm, between a quarter
-and three quarters of them by the order; p = 2 is never such a norm here
-and goes through dp_ep with p = 3 and the bad primes.
+tables of p give the supersingular d_p.  The sweep builds one point per
+split p, in the sector where Cornacchia's element lies, and of those only
+the points whose parity classes (a mod 2, b mod 2) give an odd norm; p = 2
+is never such a norm here and goes through dp_ep with p = 3 and the bad
+primes.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .cornacchia import RAMIFIED, SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve
 from .frobenius import KINDS, ORDINARY, SUPERSINGULAR, PrimeRecord, dp_ep, frobenius_by_sampling
 from .frobrules import rule_for
-from .primesieve import divisors, euler_phi, factorize, primes_array, primes_upto
-from .quadorder import OrderDesc, QuadInt, conj, norm, unit_orbit, units
+from .primesieve import divisors, euler_phi, factorize, primes_array
+from .quadorder import OrderDesc, QuadInt, conj, norm, units
 
 # Each scan job covers this many consecutive integers.
 CHUNK_SPAN = 1 << 16
@@ -47,6 +48,10 @@ X_MAX_LIMIT = 1 << 50
 # point sampling, which needs no rule.
 RULES_CHECKED_TO = 10**6
 GUARD_PRIMES = 3
+
+# bt_counter's largest x: its sieve of [2, x] peaks near 140 MB at 10^8,
+# and the memory grows linearly with x.
+BT_BOUND = 10**8
 
 _ORD, _SS = KINDS.index(ORDINARY), KINDS.index(SUPERSINGULAR)
 
@@ -197,21 +202,6 @@ def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
     return np.where((p % 4 == 3) & ~nonsquare, 2, 1)
 
 
-def _canonical(a: np.ndarray, b: np.ndarray, od: OrderDesc):
-    """cornacchia._canonicalize over arrays: per element, the largest of its
-    2w unit multiples and their conjugates, open positive quadrant first."""
-    best = None
-    for x, y in unit_orbit(a, b, od) + unit_orbit(a + b * od.beta_trace, -b, od):
-        q = (x > 0) & (y > 0)
-        if best is None:
-            best = (q, x, y)
-            continue
-        bq, bx, by = best
-        better = (q & ~bq) | ((q == bq) & ((x > bx) | ((x == bx) & (y > by))))
-        best = (q | bq, np.where(better, x, bx), np.where(better, y, by))
-    return best[1], best[2]
-
-
 def _isqrt(n: np.ndarray) -> np.ndarray:
     """floor(sqrt(n)) of nonnegative int64 values below 2^52, exactly."""
     r = np.sqrt(n.astype(np.float64)).astype(np.int64)
@@ -242,27 +232,65 @@ def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
+def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
+    """(p, a, b): cornacchia's element a + b*beta of norm p, once for each p
+    marked in usable[p - lo] that is a norm; the marked p must be prime to D.
+
+    Writing u = 2a + t*b, 4 Nm(a + b*beta) = u^2 + |D| b^2.  Such a p has w
+    points of norm p with b >= 1, and only one lies in the sector u > 0,
+    and a > b if w > 2: for w = 2 the other has -u, and for D4 and D3 the
+    sector is the smallest angle of the open quadrant.  For each b the
+    sector points with norm in [lo, hi] form one run of a, empty once the
+    sector's least norm exceeds hi.  Only the points of odd norm are
+    built: one run of step 2 per class of a mod 2 that _odd_classes allows
+    for b mod 2 (an even b always allows a odd), which drops half the
+    points for D4, a quarter for D3 and three quarters for D7.  The
+    element is the hit itself if a > 0, else (w = 2, t > 0) its conjugate
+    a + t*b - b*beta.
+    """
+    hi = lo + len(usable) - 1
+    t, n, D = od.beta_trace, od.beta_norm, -od.disc
+    bmax = math.isqrt(4 * hi // D if od.w == 2 else hi // (1 + t + n))
+    b = np.arange(1, bmax + 1, dtype=np.int64)
+    bottom = 4 * lo - D * b * b
+    umax = _isqrt(4 * hi - D * b * b)
+    umin = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 1)
+    tb = t * b
+    # a from the least with u >= umin (and a > b for w > 2) to the last with u <= umax.
+    starts = -((tb - umin) // 2)
+    if od.w > 2:
+        starts = np.maximum(starts, b + 1)
+    stops = (umax - tb) // 2 + 1
+    # The entries 1 - cb::2 hold the b = cb (mod 2); each allowed class ca
+    # of a for them gives runs of step 2 that start on a = ca (mod 2).
+    runs = [(slice(1 - cb, None, 2), ca)
+            for cb, classes in enumerate(_odd_classes(od)) for ca in classes]
+    a, b = _ranges(
+        np.concatenate([starts[j] + (ca - starts[j]) % 2 for j, ca in runs]),
+        np.concatenate([stops[j] for j, _ in runs]),
+        2,
+        np.concatenate([b[j] for j, _ in runs]),
+    )
+    # Nm = (a + t*b) * a + n*b^2, built in place: each temporary of the
+    # length of a costs page faults as well as time.
+    norms = t * b
+    norms += a
+    norms *= a
+    norms += n * b * b
+    hit = usable[norms - lo]
+    p, a, b = norms[hit], a[hit], b[hit]
+    flip = a <= 0
+    return p, np.where(flip, a + t * b, a), np.where(flip, -b, b)
+
+
 def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
     """The records of `primes`, the primes of one range from lo.
 
-    Ordinary primes are the norms Nm(a + b*beta) = a^2 + t*a*b + n*b^2 of
-    lattice points with b >= 1.  Writing u = 2a + t*b, that is
-    4 Nm = u^2 + |D| b^2, so for each b the points with norm in [lo, hi]
-    form two runs of a.  Only the points of odd norm are generated: each
-    run becomes one run of step 2 per class of a mod 2 that _odd_classes
-    allows for b mod 2, starting on that class, so a b with no allowed
-    class has no runs and one with both has two.  An even b always allows
-    the one class a odd, so every run has the same step.  That drops half
-    the points for (t, n) = (0, 0) or (0, 1) mod 2 (D4, D8, D12, D16,
-    D28), a quarter for (1, 1) (D3, D11, D19, D27, D43, D67, D163) and
-    three quarters for (1, 0) (D7, whose odd b all give even norms).
-    Each split p has w such points, all associates or conjugates of each
-    other; the one equal to cornacchia's canonical element, or to its
-    negative, stands for p, with the canonical element.  The unit comes
-    from the model's residue rule or else from frobenius_by_sampling,
-    called in increasing p so that an AmbiguousFrobenius names the
-    smallest such p.  Bad primes and p <= 3, p = 2 among them, go through
-    dp_ep.
+    The ordinary primes and cornacchia's element of each come from
+    _split_points.  The unit comes from the model's residue rule or else
+    from frobenius_by_sampling, called in increasing p so that an
+    AmbiguousFrobenius names the smallest such p.  Bad primes and p <= 3,
+    p = 2 among them, go through dp_ep.
     """
     hi = int(primes[-1]) if len(primes) else lo
     rows = np.zeros((len(primes), 8), dtype=np.int64)
@@ -272,40 +300,10 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
         r = dp_ep(int(primes[i]), curve)
         rows[i] = (r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p)
     od = curve.order
-    t, n, D = od.beta_trace, od.beta_norm, -od.disc
     # Good primes > 3 not dividing D, which are ordinary exactly when they are norms.
     usable = np.zeros(hi - lo + 1, dtype=bool)
-    usable[primes[~scalar & (primes % D != 0)] - lo] = True
-    b = np.arange(1, math.isqrt(4 * hi // D) + 1, dtype=np.int64)
-    top = 4 * hi - D * b * b
-    bottom = 4 * lo - D * b * b
-    umax = _isqrt(top)
-    umin = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 0)
-    tb = t * b
-    # u in [umin, umax] and u in [-umax, -max(umin, 1)], with u = t*b (mod 2).
-    starts = np.stack((-((tb - umin) // 2), -((tb + umax) // 2)))
-    stops = np.stack(((umax - tb) // 2 + 1, (-np.maximum(umin, 1) - tb) // 2 + 1))
-    # The columns 1 - cb::2 hold the b = cb (mod 2); each allowed class ca
-    # of a for them gives runs of step 2 that start on a = ca (mod 2).
-    runs = [(slice(1 - cb, None, 2), ca)
-            for cb, classes in enumerate(_odd_classes(od)) for ca in classes]
-    a, b = _ranges(
-        np.concatenate([starts[:, j] + (ca - starts[:, j]) % 2 for j, ca in runs], axis=None),
-        np.concatenate([stops[:, j] for j, _ in runs], axis=None),
-        2,
-        np.concatenate([np.stack((b[j], b[j])) for j, _ in runs], axis=None),
-    )
-    # Nm = (a + t*b) * a + n*b^2, built in place: each temporary of the
-    # length of a costs page faults as well as time.
-    norms = t * b
-    norms += a
-    norms *= a
-    norms += n * b * b
-    hit = usable[norms - lo]
-    a, b, p = a[hit], b[hit], norms[hit]
-    ca, cb = _canonical(a, b, od)
-    stands = ((a == ca) & (b == cb)) | ((a == -ca) & (b == -cb))
-    p, a, b = p[stands], ca[stands], cb[stands]
+    usable[primes[~scalar & (primes % od.disc != 0)] - lo] = True
+    p, a, b = _split_points(od, lo, usable)
     rule = rule_for(curve)
     if rule is not None:
         a, b = rule.select_arrays(p, a, b)
@@ -316,7 +314,7 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
                for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())]
         a, b = np.array([(pi.a, pi.b) for pi in pis], dtype=np.int64).reshape(-1, 2).T
     at = np.searchsorted(primes, p)
-    trace = 2 * a + b * t
+    trace = 2 * a + b * od.beta_trace
     count, d = p + 1 - trace, np.gcd(a - 1, b)
     rows[at, 1] = _ORD
     rows[at, 2:] = np.column_stack((trace, a, b, count, d, count // d))
@@ -490,11 +488,13 @@ def comaximal(mu: QuadInt, alpha: QuadInt) -> bool:
 
 
 def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
-    """#{prime elements pi: Nm(pi) <= x, pi = alpha (mod mu)}.
+    """#{prime elements pi: Nm(pi) <= x, pi = alpha (mod mu)}, for x <= BT_BOUND.
 
     Associates count separately; inert and ramified prime elements are
     included when their norms fit.
     """
+    if x > BT_BOUND:
+        raise ValueError(f"need x <= {BT_BOUND}, got {x}")
     order = mu.order
     if not order.is_maximal():
         raise ValueError("maximal orders only")
@@ -506,7 +506,7 @@ def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
         raise ValueError("(mu) and (alpha) must be comaximal")
     us = units(order)
     count = 0
-    for p in primes_upto(x):
+    for p in map(int, primes_array(x)):
         for gen in prime_elements_above(p, order):
             if norm(gen) > x:
                 continue
@@ -516,9 +516,9 @@ def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
     return count
 
 
-def bt_ratio(x: int, mu: QuadInt, alpha: QuadInt) -> float:
-    """count * Phi(mu) * log(x / Nm(mu)) / x, the bounded Brun-Titchmarsh ratio."""
-    count = bt_counter(x, mu, alpha)
+def bt_ratio(x: int, mu: QuadInt, count: int) -> float:
+    """count * Phi(mu) * log(x / Nm(mu)) / x, the bounded Brun-Titchmarsh
+    ratio of count = bt_counter(x, mu, alpha)."""
     return count * phi_element(mu) * math.log(x / norm(mu)) / x
 
 

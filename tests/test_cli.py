@@ -11,6 +11,7 @@ import cmfactors
 from cmfactors import frobenius, oracle, stats
 from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, main
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
+from cmfactors.quadorder import QuadInt, order
 from cmfactors.stats import RecordBlock
 
 
@@ -125,6 +126,21 @@ def test_aux_bt(capsys):
     assert "count=5" in stdout
 
 
+def test_aux_bt_counts_once(capsys, monkeypatch):
+    # The ratio is computed from the one count.
+    calls = []
+    counter = stats.bt_counter
+    monkeypatch.setattr(stats, "bt_counter", lambda *a: calls.append(a) or counter(*a))
+    code, stdout, _ = run(
+        capsys, "aux", "bt", "--x", "2000", "--mu", "2,1", "--alpha", "1", "--g", "-1"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    count = int(stdout.split()[0].removeprefix("count="))
+    ratio = stats.bt_ratio(2000, QuadInt(2, 1, order(-1)), count)
+    assert stdout == f"count={count} ratio={ratio:.6f}\n"
+
+
 def test_aux_bt_bad_args(capsys):
     code, _, err = run(
         capsys, "aux", "bt", "--x", "5", "--mu", "3", "--alpha", "1", "--g", "-1"
@@ -216,6 +232,7 @@ def test_block_bytes_matches_record_lines():
         ["verify", "--custom", "10000000000000000007,1,-1,1", "--pmax", "100"],
         ["aux", "bt", "--x", "100", "--mu", "2", "--alpha", "1", "--g", "5"],
         ["aux", "bt", "--x", "100", "--mu", "2,x", "--alpha", "1"],
+        ["aux", "bt", "--x", str(10**11), "--mu", "3", "--alpha", "1"],
         ["aux", "trivlem", "--trials", "-1"],
         ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
@@ -230,7 +247,7 @@ def test_block_bytes_matches_record_lines():
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
         "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
         "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
-        "bt-g-5", "bt-mu-not-integer", "trivlem-trials-negative",
+        "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "trivlem-trials-negative",
         "out-unwritable", "workers-0", "workers-negative",
         "custom-with-curve", "custom-with-table",
         "xmax-1e20", "xmax-2^50", "identity-x-1e20",

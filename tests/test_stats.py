@@ -10,6 +10,7 @@ import pytest
 
 from cmfactors.eccurve import cubic_splits, curve_table, custom_curve, get_curve
 from cmfactors.frobenius import AmbiguousFrobenius, classify, dp_ep
+from cmfactors.cornacchia import solve_norm
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
@@ -297,7 +298,10 @@ def test_odd_classes_are_the_odd_norms():
                                          ("D163", 3 / 4)])
 def test_sweep_generates_only_points_of_odd_norm(monkeypatch, label, share):
     # The lattice points the sweep builds for one range are exactly those
-    # of odd norm in it, the given share of all its points.
+    # of odd norm in it with u = 2a + t*b > 0, and a > b when w > 2: one of
+    # the w points with b >= 1 per norm.  So they are share / w of all its
+    # points with b >= 1, where share is that of the odd norms: 1/8 for
+    # D4, D3 and D7, 3/8 for D163.
     generated = []
     ranges = stats._ranges
 
@@ -319,20 +323,37 @@ def test_sweep_generates_only_points_of_odd_norm(monkeypatch, label, share):
                                  np.arange(1, bmax + 1))
     norms = grid_a * grid_a + t * grid_a * grid_b + n * grid_b * grid_b
     in_range = (norms >= lo) & (norms <= hi)
-    odd = in_range & (norms % 2 == 1)
-    assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(grid_a[odd].tolist(),
-                                                              grid_b[odd].tolist()))
-    assert abs(len(a) / in_range.sum() - share) < 5e-3
+    sector = (2 * grid_a + t * grid_b > 0) & ((grid_a > grid_b) if od.w > 2 else True)
+    kept = in_range & (norms % 2 == 1) & sector
+    assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(grid_a[kept].tolist(),
+                                                              grid_b[kept].tolist()))
+    assert abs(len(a) / in_range.sum() - share / od.w) < 5e-3
 
 
-def test_sweep_check_tool_imports():
-    # --help exits before any scan runs, so this only checks that the
-    # tool's imports from cmfactors resolve.
+def test_split_points_are_cornacchia_elements():
+    # For every order and every split p <= 2*10^4 that the sweep treats
+    # (p > 3, p prime to D), exactly one point of the sector has norm p,
+    # and its image is solve_norm's element.
+    top = 2 * 10**4
+    for curve in curve_table():
+        od = curve.order
+        split = {p: solve_norm(p, od) for p in primes_upto(top) if p > 3 and od.disc % p}
+        split = {p: (x.a, x.b) for p, x in split.items() if x is not None}
+        usable = np.zeros(top - 1, dtype=bool)
+        usable[np.array(list(split)) - 2] = True
+        p, a, b = stats._split_points(od, 2, usable)
+        assert sorted(p.tolist()) == sorted(split), curve.label
+        assert {q: (x, y) for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())} == split
+
+
+def test_sweep_check_tool_finds_no_difference():
+    # The scans of the thirteen curves and three twists through the CLI,
+    # at one and two workers, against dp_ep on every prime up to 2*10^4.
     tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "tools", "sweep_check.py")
-    out = subprocess.run([sys.executable, tool, "--help"], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "XMAX" in out.stdout
+    out = subprocess.run([sys.executable, tool, "20000"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "0 of 32 scans differ"
 
 
 # --- decomposition identity ----------------------------------------------------
@@ -403,7 +424,7 @@ def test_bt_ratio_bounded():
     one = QuadInt(1, 0, O1)
     for mu_coords in [(2, 0), (3, 0), (4, 0), (1, 1), (2, 1)]:
         mu = QuadInt(*mu_coords, O1)
-        assert bt_ratio(2000, mu, one) <= 8.0
+        assert bt_ratio(2000, mu, bt_counter(2000, mu, one)) <= 8.0
 
 
 # --- Schur and Wintner sums -----------------------------------------------------
