@@ -26,7 +26,6 @@ from .frobenius import (
     dp_ep,
     frobenius_at,
     frobenius_by_sampling,
-    validate_curve,
 )
 from .oracle import count_points, enumerate_points, group_structure
 from .primesieve import euler_phi, factorize, primes_upto
@@ -57,7 +56,6 @@ from .stats import (
     scan,
     schur_sum,
     trivlem_check,
-    wintner_slope,
     wintner_sum,
 )
 

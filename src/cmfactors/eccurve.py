@@ -55,8 +55,8 @@ def model_bad_primes(A: int, B: int) -> frozenset[int]:
 def custom_curve(A: int, B: int, g: int, f: int = 1, label: str | None = None) -> CmCurve:
     """User-supplied model; the caller claims CM by the (g, f) order.
 
-    The claim is enforced by the same validation gate as the shipped table
-    (see frobenius.validate_curve); a wrong (g, f) fails loudly there.
+    The CLI enforces the claim by the oracle gate of the shipped table
+    (cli.oracle_mismatches); a wrong (g, f) fails loudly there.
     """
     if label is None:
         label = f"custom-{A}-{B}"

@@ -20,7 +20,6 @@ from .cornacchia import SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
 from .frobrules import rule_for
 from .oracle import count_points, group_structure
-from .primesieve import primes_upto
 from .quadorder import QuadInt, content, trace, units
 
 # perfbench/tracing.py times this by rebinding it in this module.
@@ -68,10 +67,6 @@ def classify(p: int, curve: CmCurve) -> str:
     return SUPERSINGULAR
 
 
-def _default_rng(p: int) -> random.Random:
-    return random.Random(f"cmfactors:{p}")
-
-
 def frobenius_at(p: int, curve: CmCurve, pi0: QuadInt | None = None) -> tuple[QuadInt, int]:
     """The Frobenius element (up to conjugation) and N = #E(F_p).
 
@@ -92,7 +87,7 @@ def frobenius_at(p: int, curve: CmCurve, pi0: QuadInt | None = None) -> tuple[Qu
     return pi, p + 1 - 2 * a - b * od.beta_trace
 
 
-def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[QuadInt, int]:
+def frobenius_by_sampling(p: int, curve: CmCurve, pi0=None) -> tuple[QuadInt, int]:
     """frobenius_at by testing each unit multiple against random points.
 
     The exact slow path: it needs no rule, so it serves models outside the
@@ -103,11 +98,10 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[Q
     (p+1)P = t_u P, then, among survivors, by the claimed exponent
     e_u P = infinity.  If sampling stalls, an exact point count settles it;
     an impossible mismatch raises AmbiguousFrobenius, and so does a p past
-    oracle.COUNT_BOUND, where no count is made.  Without `rng`, the generator
-    is seeded by p alone; without `pi0`, solve_norm gives the norm-p element.
+    oracle.COUNT_BOUND, where no count is made.  The points come from a
+    generator seeded by p; without `pi0`, solve_norm gives the norm-p element.
     """
-    if rng is None:
-        rng = _default_rng(p)
+    rng = random.Random(f"cmfactors:{p}")
     if pi0 is None:
         pi0 = solve_norm(p, curve.order)
     if pi0 is None:
@@ -158,6 +152,8 @@ def frobenius_by_sampling(p: int, curve: CmCurve, rng=None, pi0=None) -> tuple[Q
 def dp_ep(p: int, curve: CmCurve) -> PrimeRecord:
     """The full per-prime record: reduction type, a_p, pi_p, N, d_p, e_p.
 
+    scan calls it for the bad primes and p <= 3 only; at every other p it is
+    the reference the array sweep is checked against (tools/sweep_check.py).
     For a good p > 3, solve_norm is the one split test: it returns an
     element of norm p exactly when p is ordinary (split), as in classify.
     """
@@ -180,25 +176,3 @@ def dp_ep(p: int, curve: CmCurve) -> PrimeRecord:
     d = 2 if p % 4 == 3 and cubic_splits(curve, p) else 1
     return PrimeRecord(p, SUPERSINGULAR, 0, 0, 0, n, d, n // d)
 
-
-def validate_curve(curve: CmCurve, pmax: int = 1000) -> list[tuple[int, int, int]]:
-    """Cross-check Frobenius-derived a_p against oracle point counts.
-
-    Returns (p, a_p_pipeline, a_p_oracle) for every good p <= pmax where
-    the two disagree; an empty list certifies the curve entry.  This is the
-    validation gate that makes the curve table trustworthy data.
-    """
-    mismatches = []
-    for p in primes_upto(pmax):
-        if p in curve.bad_primes:
-            continue
-        n_oracle = count_points(curve, p)
-        try:
-            rec = dp_ep(p, curve)
-        except AmbiguousFrobenius:
-            # A mislabelled order leaves no consistent candidate at all.
-            mismatches.append((p, None, p + 1 - n_oracle))
-            continue
-        if rec.N != n_oracle or rec.a_p != p + 1 - n_oracle:
-            mismatches.append((p, rec.a_p, p + 1 - n_oracle))
-    return mismatches

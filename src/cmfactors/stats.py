@@ -541,14 +541,16 @@ def _squarefree_sieve(t: int) -> np.ndarray:
 
 
 EXACT_SUM_BOUND = 20000
+# The largest t of schur_sum and Z of wintner_sum; wintner_sum peaks near 350 MB there.
+SUM_BOUND = 10**7
 
 
 def schur_sum(t: int, exact: bool | None = None):
     """sum_{m<=t} m^4 / phi(m)^4; exact Fraction for small t, float beyond."""
     if t < 1:
         raise ValueError("t must be positive")
-    if t > 10**7:
-        raise ValueError("t beyond the supported range")
+    if t > SUM_BOUND:
+        raise ValueError(f"need t <= {SUM_BOUND}, got {t}")
     if exact is None:
         exact = t <= EXACT_SUM_BOUND
     phi = _phi_sieve(t)
@@ -563,6 +565,8 @@ def wintner_sum(Z: int, exact: bool | None = None):
     """sum_{d<=Z} mu^2(d) phi(d) / d^2."""
     if Z < 1:
         raise ValueError("Z must be positive")
+    if Z > SUM_BOUND:
+        raise ValueError(f"need Z <= {SUM_BOUND}, got {Z}")
     if exact is None:
         exact = Z <= EXACT_SUM_BOUND
     phi = _phi_sieve(Z)
@@ -576,13 +580,6 @@ def wintner_sum(Z: int, exact: bool | None = None):
     terms[1:] = phi[1:] / ds[1:] ** 2
     terms[~sq] = 0.0
     return float(terms[1:].sum())
-
-
-def wintner_slope(Z: int) -> float:
-    """wintner_sum(Z) / log Z; stabilizes because the summand has a mean value."""
-    if Z < 2:
-        raise ValueError("Z must be at least 2")
-    return float(wintner_sum(Z, exact=False)) / math.log(Z)
 
 
 # --- Squarefree restriction inequality ---------------------------------------

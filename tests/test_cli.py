@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ import cmfactors
 
 from cmfactors import frobenius, oracle, stats
 from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, main
+from cmfactors.eccurve import get_curve, load_table
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
+from cmfactors.frobrules import FrobeniusRule
 from cmfactors.quadorder import QuadInt, order
 from cmfactors.stats import RecordBlock
 
@@ -100,6 +103,31 @@ def test_verify_table_override_with_wrong_order(tmp_path, capsys):
     assert "mismatches" in stdout
 
 
+@pytest.mark.parametrize("corrupt", ["supersingular-dp", "unit-selection"])
+def test_verify_checks_the_records_scan_writes(capsys, monkeypatch, corrupt):
+    # A sweep that writes wrong values must fail verify: the oracle is
+    # compared with the sweep's records, not with a per-prime path.
+    if corrupt == "supersingular-dp":
+        monkeypatch.setattr(stats, "_supersingular_dp", lambda curve, p: np.ones_like(p))
+    else:
+        # Cornacchia's element as it comes, without the rule's unit.
+        monkeypatch.setattr(FrobeniusRule, "select_arrays", lambda self, p, a, b: (a, b))
+    code, stdout, _ = run(capsys, "verify", "--curve", "D4", "--pmax", "300")
+    assert code == 1
+    head, columns, *rows = stdout.splitlines()
+    assert head == f"j1728-D4: {len(rows)} mismatches over 61 good primes"
+    assert columns == "p,pipeline(d,e,N,a),oracle(d,e,N)" and len(rows) > 10
+
+
+# The three models without a residue rule of tools/sweep_check.py: their
+# sweep hands every ordinary p to point sampling.
+@pytest.mark.parametrize("model", ["-4,0,-1,1", "0,2,-3,1", "-264,-1694,-11,1"])
+def test_verify_twists_without_a_rule(capsys, model):
+    code, stdout, _ = run(capsys, "verify", f"--custom={model}", "--pmax", "3000")
+    assert code == 0
+    assert " 0 mismatches over " in stdout and stdout.endswith(" good primes up to 3000\n")
+
+
 def test_identity_cli(capsys):
     code, stdout, _ = run(capsys, "identity", "--curve", "j1728-D4", "--x", "20")
     assert code == 0
@@ -116,6 +144,18 @@ def test_aux_wintner(capsys):
     code, stdout, _ = run(capsys, "aux", "wintner", "--z", "10")
     assert code == 0
     assert "16319/8820" in stdout
+
+
+def test_aux_wintner_sums_once(capsys, monkeypatch):
+    # The slope is read off the one sum.
+    calls = []
+    wintner_sum = stats.wintner_sum
+    monkeypatch.setattr(stats, "wintner_sum", lambda *a: calls.append(a) or wintner_sum(*a))
+    code, stdout, _ = run(capsys, "aux", "wintner", "--z", "30000")
+    assert code == 0
+    assert calls == [(30000,)]
+    s = wintner_sum(30000)
+    assert stdout == f"sum={s:.6f}\nslope={s / math.log(30000):.6f}\n"
 
 
 def test_aux_bt(capsys):
@@ -233,6 +273,8 @@ def test_block_bytes_matches_record_lines():
         ["aux", "bt", "--x", "100", "--mu", "2", "--alpha", "1", "--g", "5"],
         ["aux", "bt", "--x", "100", "--mu", "2,x", "--alpha", "1"],
         ["aux", "bt", "--x", str(10**11), "--mu", "3", "--alpha", "1"],
+        ["aux", "bt", "--x", "1000", "--mu", "3", "--alpha", f"{10**22},1"],
+        ["aux", "wintner", "--z", str(10**11)],
         ["aux", "trivlem", "--trials", "-1"],
         ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
@@ -247,7 +289,8 @@ def test_block_bytes_matches_record_lines():
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
         "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
         "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
-        "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "trivlem-trials-negative",
+        "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "bt-alpha-overflow", "wintner-z-1e11",
+        "trivlem-trials-negative",
         "out-unwritable", "workers-0", "workers-negative",
         "custom-with-curve", "custom-with-table",
         "xmax-1e20", "xmax-2^50", "identity-x-1e20",
@@ -267,10 +310,10 @@ def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
 
 
 def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, monkeypatch):
-    def ambiguous(p, curve, rng=None, pi0=None):
+    def ambiguous(p, curve, pi0=None):
         if p > 50:
             raise AmbiguousFrobenius(p)
-        return real(p, curve, rng, pi0)
+        return real(p, curve, pi0)
 
     real = stats.frobenius_by_sampling
     monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
@@ -290,6 +333,29 @@ def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, mon
     assert err == "ambiguous Frobenius at p=53\n"
     assert stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+def test_verify_lists_an_ambiguous_prime_as_unresolved(tmp_path, capsys, monkeypatch):
+    # The scan stops at the prime that sampling cannot settle; every good
+    # prime below it is still checked, and none above it.
+    def ambiguous(p, curve, pi0=None):
+        if p > 50:
+            raise AmbiguousFrobenius(p)
+        return real(p, curve, pi0)
+
+    real = stats.frobenius_by_sampling
+    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
+    table = tmp_path / "table.txt"
+    table.write_text("j1728-D4 -4 0 -1 1 2\n")
+    code, stdout, _ = run(
+        capsys, "verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "1000")
+    assert code == 1
+    oracle_t = oracle.group_structure(get_curve("j1728-D4", load_table(str(table))), 53)
+    assert stdout == (
+        "j1728-D4: 1 mismatches over 15 good primes\n"
+        "p,pipeline(d,e,N,a),oracle(d,e,N)\n"
+        f"53,unresolved,{(*oracle_t, oracle_t[0] * oracle_t[1])}\n"
+    )
 
 
 def test_cli_import_leaves_scipy_unloaded():

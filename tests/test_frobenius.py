@@ -6,16 +6,15 @@ import sys
 
 import pytest
 
-from cmfactors import frobenius, oracle
-from cmfactors.cli import main
-from cmfactors.eccurve import curve_table, custom_curve, get_curve, load_table
+from cmfactors import frobenius, oracle, stats
+from cmfactors.cli import main, oracle_mismatches
+from cmfactors.eccurve import curve_table, custom_curve, get_curve, load_table, random_point
 from cmfactors.frobenius import (
     AmbiguousFrobenius,
     classify,
     dp_ep,
     frobenius_at,
     frobenius_by_sampling,
-    validate_curve,
 )
 from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, parse_rules, rule_for
 from cmfactors.oracle import count_points, group_structure
@@ -119,23 +118,28 @@ def test_determinism_same_seed(curve_d4):
     assert a == b
 
 
-def test_rng_argument_does_not_change_values(curve_d4):
-    # The resolved Frobenius is unique; the rng only drives the sampling.
-    for p in (5, 13, 17, 29, 37):
-        r1 = frobenius_by_sampling(p, curve_d4, random.Random(1))
-        r2 = frobenius_by_sampling(p, curve_d4, random.Random(999))
-        assert r1 == r2 == frobenius_at(p, curve_d4)
+def test_point_stream_does_not_change_values(curve_d4, monkeypatch):
+    # The resolved Frobenius is unique; the random points only drive the sampling.
+    results = []
+    for seed in (1, 999):
+        stream = random.Random(seed)
+        monkeypatch.setattr(
+            frobenius, "random_point", lambda curve, p, rng: random_point(curve, p, stream))
+        results.append([frobenius_by_sampling(p, curve_d4) for p in (5, 13, 17, 29, 37)])
+    assert results[0] == results[1] == [frobenius_at(p, curve_d4) for p in (5, 13, 17, 29, 37)]
 
 
 def test_validate_curve_accepts_table_entries(all_curves):
     for curve in all_curves:
-        assert validate_curve(curve, 1000) == []
+        checked, mismatches = oracle_mismatches(curve, 1000)
+        assert mismatches == []
+        assert checked == len([p for p in primes_upto(1000) if p not in curve.bad_primes])
 
 
 def test_validate_curve_flags_wrong_order():
     # y^2 = x^3 + 2 has j = 0 (CM by g = -3); claiming g = -1 must fail loudly.
     liar = custom_curve(0, 2, -1, 1, label="liar")
-    assert validate_curve(liar, 200) != []
+    assert oracle_mismatches(liar, 200)[1] != []
 
 
 def test_ambiguous_frobenius_carries_prime():
@@ -204,11 +208,10 @@ def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
     assert rule_for(twist) is None
     sampled = []
     monkeypatch.setattr(
-        "cmfactors.frobenius.frobenius_by_sampling",
-        lambda p, curve, rng=None, pi0=None: (
-            sampled.append(p) or frobenius_by_sampling(p, curve, rng, pi0)),
+        stats, "frobenius_by_sampling",
+        lambda p, curve, pi0=None: sampled.append(p) or frobenius_by_sampling(p, curve, pi0),
     )
-    assert validate_curve(twist, 2000) == []
+    assert oracle_mismatches(twist, 2000)[1] == []
     assert 5 in sampled
     code = main(["verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "2000"])
     assert code == 0, capsys.readouterr().out
