@@ -6,7 +6,8 @@ Subcommands:
     identity  exact divisor-decomposition identity at a bound
     aux       schur / wintner / bt / trivlem diagnostics
 
-Exit codes: 0 success, 1 failed check or mismatch, 2 bad arguments,
+Exit codes: 0 success, 1 failed check or mismatch, or a scan worker that
+died without a result, 2 bad arguments,
 3 ambiguous Frobenius disambiguation (with the prime reported; only the
 sampling path used for models without a residue rule can raise it).
 """
@@ -39,6 +40,14 @@ CSV_HEADER = "p,kind,a_p,pi_a,pi_b,N,d_p,e_p"
 
 def _default_seed() -> int:
     return int(os.environ.get("CMIF_SEED", "0"))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: os.cpu_count() counts every core
+    of the machine, also those that CPU affinity rules out."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _resolve_curve(args) -> CmCurve:
@@ -374,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="defaults to $CMIF_SEED or 0")
     sp.add_argument("--checkpoints", default="", help="comma-separated snapshot bounds")
     sp.add_argument("--out", default=None, help="records CSV path (summary goes to PATH.summary.json)")
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--workers", type=int, default=_usable_cores(),
+                    help="processes that sweep, this one included (default: usable cores)")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("verify", help="compare pipeline and oracle for all good p <= pmax")
@@ -424,6 +434,9 @@ def main(argv=None) -> int:
     except AmbiguousFrobenius as e:
         print(f"ambiguous Frobenius at p={e.p}", file=sys.stderr)
         return 3
+    except stats.WorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -42,6 +42,10 @@ class AmbiguousFrobenius(RuntimeError):
         super().__init__(f"ambiguous Frobenius candidates at p={p}")
         self.p = p
 
+    def __reduce__(self):
+        # The default rebuilds from args, the message, and would nest it.
+        return type(self), (self.p,)
+
 
 @dataclass(frozen=True, slots=True)
 class PrimeRecord:

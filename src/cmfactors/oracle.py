@@ -59,8 +59,9 @@ def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
 
 
 def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """#E(F_p), #roots of x^3 + Ax + B mod p, rhs over the last slice of x mod
-    p (every x for p <= ENUMERATION_BOUND), and the table of nonzero squares."""
+    """#E(F_p), #roots of x^3 + Ax + B mod p, and over the last slice of x
+    mod p (every x for p <= ENUMERATION_BOUND) rhs and whether it is a
+    nonzero square."""
     sq = np.zeros(p, dtype=bool)  # one byte per residue
     for xs in _slices(1, (p + 1) // 2):
         sq[_mod(xs * xs, p)] = True
@@ -68,8 +69,9 @@ def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.nda
     for xs in _slices(0, p):
         rhs = _rhs(curve, p, xs)
         roots += int(np.count_nonzero(rhs == 0))
-        n += 2 * int(np.count_nonzero(sq[rhs]))
-    return n + roots, roots, rhs, sq
+        square = sq[rhs]
+        n += 2 * int(np.count_nonzero(square))
+    return n + roots, roots, rhs, square
 
 
 def count_points(curve: CmCurve, p: int) -> int:
@@ -146,8 +148,8 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
 
     For each prime q, the q-valuation of d is the largest j with
     #{P : q^j P = infinity} = q^(2j); the count runs over the whole group,
-    so the result is exact.  Candidate primes are cut down first: full
-    q-torsion forces q | p - 1 (Weil pairing) and q^2 | N.  The 2-torsion is
+    so the result is exact.  Levels are cut down first: full q^j-torsion
+    forces q^j | p - 1 (Weil pairing) and q^(2j) | N.  The 2-torsion is
     infinity and the cubic's roots, so level q = 2, j = 1 is 1 + roots.  Any
     other level needs q^(2j) | N with N <= p + 1 + 2 sqrt(p), hence p >= 5,
     and tests [n]P = O, n = q^j, as psi_n(P) = 0 (exact for P != O and
@@ -155,17 +157,17 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     points; the y = 0 points lie in E[2^j] and in no E[q^j] for odd q.
     """
     _check_p(curve, p)
-    N, roots, rhs, sq = _counting_pass(curve, p)
+    N, roots, rhs, square = _counting_pass(curve, p)
     d, X = 1, None
     for q, k in factorize(N):
-        if k < 2 or (p - 1) % q:
-            continue
         for j in range(1, k // 2 + 1):
+            if (p - 1) % q**j:
+                break
             if q == 2 and j == 1:
                 killed = roots
             else:
                 if X is None:
-                    X = np.flatnonzero(sq[rhs])
+                    X = np.flatnonzero(square)
                 f = _division_values(q**j, X, rhs[X], curve.A % p, curve.B % p, p)
                 killed = 2 * (len(f) - int(np.count_nonzero(f))) + (roots if q == 2 else 0)
             if 1 + killed != q ** (2 * j):

@@ -8,6 +8,10 @@ Wintner mean-value sums and the squarefree restriction inequality.
 Identity checks use exact integer or rational arithmetic; only diagnostic
 ratios go through floating point.
 
+A scan on W workers runs W processes, the caller among them: range i goes
+to process i % W by a fixed round robin, and each of the W - 1 forked
+children sends its results over its own pipe, so the backlog is bounded.
+
 Every range is swept as arrays: its lattice points of prime norm give the
 ordinary primes with Cornacchia's element, whose unit a residue rule
 (frobrules) or, for a model without one, point sampling picks; residue
@@ -19,12 +23,11 @@ primes.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
+import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -359,8 +362,20 @@ def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
             )
 
 
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
+def _sweep_jobs(conn, jobs) -> None:
+    """A child of scan: sweep jobs in order and send each one's (acc, kept)
+    over conn.  An exception is sent in place of its job's result and ends
+    the child; scan raises it when it reaches that range."""
+    with conn:
+        try:
+            for job in jobs:
+                conn.send(_scan_chunk(*job))
+        except Exception as err:
+            conn.send(err)
+
+
+class WorkerLost(RuntimeError):
+    """A child of scan ended without sending the result of a range."""
 
 
 def scan(
@@ -375,18 +390,27 @@ def scan(
 
     [2, x_max] is cut into ranges of CHUNK_SPAN integers, counted down from
     x_max so that only the first may be shorter; each job sieves its own
-    range.  Chunk results are merged in increasing order as they
-    arrive, and `records`, if given, is called with each chunk's
-    RecordBlock (iterating it yields the PrimeRecords in increasing p), so
-    memory does not grow with x_max.  `render`, a picklable function, is
-    applied to each RecordBlock in the process that swept it, and
-    `records` receives its result instead: that moves, say, CSV formatting
-    into the workers, and only its result crosses back.  Every value is
-    exact and depends on no random stream, so records and accumulator are
-    the same at any worker count and chunk span.  Past RULES_CHECKED_TO, a
-    model with a rule has the top of its last range, a full one, checked
-    by point sampling in the job that sweeps it.  x_max must lie below
-    X_MAX_LIMIT; a larger bound raises ValueError before any job is built.
+    range.  `workers` W processes sweep, the caller among them: job i goes
+    to process i % W by a fixed round robin.  Each of the W - 1 forked
+    children gets its whole job list at start and sends each result over
+    its own pipe, blocking once the pipe is full, so the backlog stays
+    bounded.  The caller walks the jobs in order, sweeping its own and
+    receiving the others, merges the results in increasing p and calls
+    `records`, if given, with each range's RecordBlock (iterating it yields
+    the PrimeRecords in increasing p), so memory does not grow with x_max.
+    `render` is applied to each RecordBlock in the process that swept it,
+    and `records` receives its result instead: that moves, say, CSV
+    formatting into the children, and only its result crosses back.  A
+    child's exception is raised when the walk reaches its range, after the
+    records of every earlier range; a child that dies without sending
+    raises WorkerLost.  On every exit the children are joined, and
+    terminated first if scan is failing.
+    Every value is exact and depends on no random stream, so records and
+    accumulator are the same at any worker count and chunk span.  Past
+    RULES_CHECKED_TO, a model with a rule has the top of its last range, a
+    full one, checked by point sampling in the process that sweeps it.
+    x_max must lie below X_MAX_LIMIT; a larger bound raises ValueError
+    before any job is built.
     """
     if not 2 <= x_max < X_MAX_LIMIT:
         raise ValueError(f"x_max must lie in [2, 2^50), got {x_max}")
@@ -397,14 +421,49 @@ def scan(
         (curve, max(hi - CHUNK_SPAN + 1, 2), hi, cps, keep, render, guard and hi == x_max)
         for hi in reversed(range(x_max, 1, -CHUNK_SPAN))
     ]
-    parallel = workers > 1 and len(jobs) > 1
+    w = max(1, min(workers, len(jobs)))
+    # fork, not spawn: the children inherit the jobs, render and any rebound
+    # module name without pickling, and scan itself starts no thread.
+    ctx = multiprocessing.get_context("fork")
+    children, pipes = [], []
     acc = None
-    with Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
-        parts = pool.imap(_scan_chunk_star, jobs) if parallel else map(_scan_chunk_star, jobs)
-        for part, kept in parts:
+    try:
+        for k in range(1, w):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            pipes.append(recv_end)
+            children.append(ctx.Process(target=_sweep_jobs, args=(send_end, jobs[k::w])))
+            children[-1].start()
+            # Closed before the next fork, so only child k holds this end and
+            # its death ends the pipe.
+            send_end.close()
+        for i, job in enumerate(jobs):
+            if i % w == 0:
+                part, kept = _scan_chunk(*job)
+            else:
+                child = i % w - 1
+                try:
+                    got = pipes[child].recv()
+                except EOFError:
+                    children[child].join()
+                    raise WorkerLost(
+                        f"the worker sweeping [{job[1]}, {job[2]}] ended with exit code "
+                        f"{children[child].exitcode} before sending its result"
+                    ) from None
+                if isinstance(got, BaseException):
+                    raise got
+                part, kept = got
             acc = part if acc is None else merge(acc, part)
             if keep:
                 records(kept)
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for pipe in pipes:
+            pipe.close()
     return acc
 
 
@@ -526,10 +585,22 @@ def bt_ratio(x: int, mu: QuadInt, count: int) -> float:
 
 
 def _phi_sieve(t: int) -> np.ndarray:
+    """Euler's phi of 0..t as int64, for t <= SUM_BOUND.
+
+    Each prime p <= sqrt(t) scales its multiples by 1 - 1/p and is divided
+    out of their cofactor, an int32 copy of 0..t; what is left of n > 1 is 1
+    or the one prime factor of n above sqrt(t), applied in a single step.
+    """
     phi = np.arange(t + 1, dtype=np.int64)
-    for p in range(2, t + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    rest = np.arange(t + 1, dtype=np.int32)
+    rest[0] = 1
+    for p in primes_array(math.isqrt(t)).tolist() if t >= 4 else ():
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= t:
+            rest[q::q] //= p
+            q *= p
+    np.subtract(phi, phi // rest, out=phi, where=rest > 1)
     return phi
 
 

@@ -10,7 +10,7 @@ import pytest
 import cmfactors
 
 from cmfactors import frobenius, oracle, stats
-from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, main
+from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, build_parser, main
 from cmfactors.eccurve import get_curve, load_table
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.frobrules import FrobeniusRule
@@ -333,6 +333,44 @@ def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, mon
     assert err == "ambiguous Frobenius at p=53\n"
     assert stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+def _ambiguous(lo, hi):
+    raise AmbiguousFrobenius(lo)
+
+
+@pytest.mark.parametrize("fail, code, message", [
+    (lambda lo, hi: os._exit(1), 1,
+     "error: the worker sweeping [{lo}, {hi}] ended with exit code 1 before sending its result\n"),
+    (_ambiguous, 3, "ambiguous Frobenius at p={lo}\n"),
+], ids=["dies", "ambiguous"])
+def test_scan_failure_in_a_worker_leaves_no_output(tmp_path, capsys, monkeypatch, deadline,
+                                                   fail, code, message):
+    # Range 3 of the scan belongs to the one child at --workers 2: whether
+    # it dies without a result or raises, the scan ends with one line on
+    # stderr and its exit code, and --out leaves no file behind.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    lo, hi = 1632, 2332
+    parent, real = os.getpid(), stats._scan_chunk
+
+    def chunk(curve, lo_, hi_, *rest):
+        if lo_ == lo and os.getpid() != parent:
+            fail(lo_, hi_)
+        return real(curve, lo_, hi_, *rest)
+
+    monkeypatch.setattr(stats, "_scan_chunk", chunk)
+    out = tmp_path / "r.csv"
+    got, stdout, err = run(
+        capsys, "scan", "--curve", "D4", "--xmax", "50000", "--workers", "2", "--out", str(out))
+    assert (got, err, stdout) == (code, message.format(lo=lo, hi=hi), "")
+    assert os.listdir(tmp_path) == []
+
+
+def test_workers_default_to_the_usable_cores(monkeypatch):
+    # cpu_count counts every core of the machine; affinity may allow fewer.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert build_parser().parse_args(["scan", "--curve", "D4", "--xmax", "10"]).workers == 1
 
 
 def test_verify_lists_an_ambiguous_prime_as_unresolved(tmp_path, capsys, monkeypatch):

@@ -51,9 +51,14 @@ def test_scan_output_digest_two_workers(tmp_path, capsys):
     assert _digest(tmp_path, capsys, "j1728-D4", 2) == DIGESTS["j1728-D4"]
 
 
-@pytest.mark.parametrize("label", ["j1728-D4", "j0-D3"])
-def test_scan_output_digest_at_an_odd_span(tmp_path, capsys, monkeypatch, label):
+@pytest.mark.parametrize(
+    "label, workers",
+    [pytest.param(label, w, id=label if w == 1 else f"{label}-w{w}")
+     for label in ("j1728-D4", "j0-D3") for w in (1, 2, 3)],
+)
+def test_scan_output_digest_at_an_odd_span(tmp_path, capsys, monkeypatch, label, workers):
     # Ranges of an odd span start on both parities of a and hand the CSV
-    # formatter blocks of a few rows; the output must not change.
+    # formatter blocks of a few rows; at 2 and 3 workers the round robin of
+    # ~100 ranges wraps many times.  The output must not change.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 997)
-    assert _digest(tmp_path, capsys, label, 1) == DIGESTS[label]
+    assert _digest(tmp_path, capsys, label, workers) == DIGESTS[label]

@@ -69,13 +69,14 @@ def test_counting_pass_matches_enumeration(all_curves):
         for p in primes_upto(2000):
             if p in curve.bad_primes:
                 continue
-            n, roots, rhs, sq = _counting_pass(curve, p)
+            n, roots, rhs, square = _counting_pass(curve, p)
             pts = enumerate_points(curve, p)
             assert n == len(pts), (curve.label, p)
             assert roots == sum(1 for P in pts if P and P[1] == 0), (curve.label, p)
             if p < 300:
                 assert rhs.tolist() == [curve.rhs(x, p) for x in range(p)], (curve.label, p)
-                assert np.flatnonzero(sq).tolist() == sorted({y * y % p for y in range(1, p)})
+                squares = {y * y % p for y in range(1, p)}
+                assert square.tolist() == [r in squares for r in rhs.tolist()], (curve.label, p)
 
 
 def test_count_points_at_large_p(all_curves):
@@ -90,7 +91,7 @@ def _levels(curve, p):
     """Which torsion levels group_structure tests: (2-adic reaches j >= 2, an odd q passes)."""
     n, roots, *_ = _counting_pass(curve, p)
     cut = {q: k for q, k in factorize(n) if k >= 2 and (p - 1) % q == 0}
-    return cut.get(2, 0) >= 4 and roots == 3, any(q > 2 for q in cut)
+    return cut.get(2, 0) >= 4 and roots == 3 and (p - 1) % 4 == 0, any(q > 2 for q in cut)
 
 
 def test_group_law_levels_match_element_orders(all_curves):
@@ -122,6 +123,28 @@ def test_first_two_torsion_level_needs_no_group_law(all_curves, monkeypatch):
     assert any(d % 2 == 0 for _, _, (d, _) in cases)
     for curve, p, expected in cases:
         assert group_structure(curve, p) == expected, (curve.label, p)
+
+
+def test_levels_past_the_weil_bound_fail_the_count(all_curves):
+    # group_structure tests no level q^j that does not divide p - 1, since
+    # the Weil pairing rules out full q^j-torsion there: every such level
+    # with q^(2j) | N must fail the division-polynomial count.
+    skipped = 0
+    for curve in all_curves:
+        for p in primes_upto(3000):
+            if p < 5 or p in curve.bad_primes:
+                continue
+            n, roots, rhs, square = _counting_pass(curve, p)
+            X = np.flatnonzero(square)
+            for q, k in factorize(n):
+                for j in range(1, k // 2 + 1):
+                    if (p - 1) % q**j == 0:
+                        continue
+                    f = _division_values(q**j, X, rhs[X], curve.A % p, curve.B % p, p)
+                    killed = 2 * (len(f) - int(np.count_nonzero(f))) + (roots if q == 2 else 0)
+                    assert 1 + killed != q ** (2 * j), (curve.label, p, q, j)
+                    skipped += 1
+    assert skipped > 100, skipped
 
 
 def test_group_structure_examples(curve_d4):
@@ -203,8 +226,8 @@ def test_division_values_match_scalar_group_law(all_curves):
         for p in KERNEL_PRIMES:
             if p < 5 or p in curve.bad_primes:
                 continue
-            _, _, rhs, sq = _counting_pass(curve, p)
-            X = np.flatnonzero(sq[rhs])
+            _, _, rhs, square = _counting_pass(curve, p)
+            X = np.flatnonzero(square)
             pts = [P for P in enumerate_points(curve, p) if P and P[1]]
             assert len(pts) == 2 * len(X)
             a, b = curve.A % p, curve.B % p

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -127,6 +128,74 @@ def test_parallel_scan_matches_serial(curve_d4, monkeypatch):
     # Chunking choices never change the values.
     assert par_recs == serial_recs
     assert par_acc == serial_acc
+
+
+def _span_ranges(x):
+    """The [lo, hi] of scan's jobs for x at the current CHUNK_SPAN, in order."""
+    return [(max(hi - stats.CHUNK_SPAN + 1, 2), hi)
+            for hi in reversed(range(x, 1, -stats.CHUNK_SPAN))]
+
+
+def _fail_in_a_child(monkeypatch, lo, fail):
+    """Make _scan_chunk call fail(lo, hi) on the range from lo; it must run in a child."""
+    parent, real = os.getpid(), stats._scan_chunk
+
+    def chunk(curve, lo_, hi, *rest):
+        if lo_ == lo:
+            assert os.getpid() != parent, "the range was meant for a child"
+            fail(lo_, hi)
+        return real(curve, lo_, hi, *rest)
+
+    monkeypatch.setattr(stats, "_scan_chunk", chunk)
+
+
+@pytest.mark.parametrize("workers, k", [(2, 1), (2, 9), (3, 2), (3, 40)])
+def test_child_error_follows_the_earlier_ranges(curve_d4, monkeypatch, deadline, workers, k):
+    # Range k belongs to child k % workers; its exception reaches the caller
+    # with its type and message once every range before it is in the sink,
+    # and no process is left running.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    reference = []
+    scan(curve_d4, 5 * 10**4, records=reference.append)
+    lo = _span_ranges(5 * 10**4)[k][0]
+
+    def ambiguous(lo, hi):
+        raise AmbiguousFrobenius(lo)
+
+    _fail_in_a_child(monkeypatch, lo, ambiguous)
+    blocks = []
+    with pytest.raises(AmbiguousFrobenius) as err:
+        scan(curve_d4, 5 * 10**4, workers=workers, records=blocks.append)
+    assert (err.value.p, str(err.value)) == (lo, f"ambiguous Frobenius candidates at p={lo}")
+    assert len(blocks) == k
+    assert all(np.array_equal(a.rows, b.rows) for a, b in zip(blocks, reference))
+    assert multiprocessing.active_children() == []
+
+
+def test_child_that_dies_names_its_range(curve_d4, monkeypatch, deadline):
+    # Range 5 is the last child's: only the parent's own close of that
+    # child's pipe end lets its death end the pipe.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    lo, hi = _span_ranges(5 * 10**4)[5]
+    _fail_in_a_child(monkeypatch, lo, lambda lo, hi: os._exit(1))
+    with pytest.raises(stats.WorkerLost, match=rf"\[{lo}, {hi}\] ended with exit code 1 "):
+        scan(curve_d4, 5 * 10**4, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
+    # After a clean scan, and after the caller's sink raises on the first
+    # range while the children are still sweeping (or blocked on a full pipe).
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    assert scan(curve_d4, 5 * 10**4, workers=3).pi_x == 5133
+    assert multiprocessing.active_children() == []
+
+    def sink(block):
+        raise KeyError("sink")
+
+    with pytest.raises(KeyError, match="sink"):
+        scan(curve_d4, 5 * 10**4, workers=3, records=sink)
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
@@ -427,6 +496,13 @@ def test_bt_ratio_bounded():
 
 
 # --- Schur and Wintner sums -----------------------------------------------------
+
+
+def test_phi_sieve_matches_euler_phi():
+    phi = [0] + [euler_phi(n) for n in range(1, 10**4 + 1)]
+    assert stats._phi_sieve(10**4).tolist() == phi
+    for t in range(1, 50):
+        assert stats._phi_sieve(t).tolist() == phi[: t + 1], t
 
 
 def test_schur_examples():
