@@ -6,10 +6,13 @@ Subcommands:
     identity  exact divisor-decomposition identity at a bound
     aux       schur / wintner / bt / trivlem diagnostics
 
+A model outside the packaged table comes in only by --custom, and only
+once the records scan writes for it match the oracle up to p = 200.
+
 Exit codes: 0 success, 1 failed check or mismatch, or a scan worker that
-died without a result, 2 bad arguments,
-3 ambiguous Frobenius disambiguation (with the prime reported; only the
-sampling path used for models without a residue rule can raise it).
+died without a result, 2 bad arguments (a --custom model that fails the
+gate among them), 3 ambiguous Frobenius above the gate (with the prime
+reported; only the point sampling of a --custom model can raise it).
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import stats
-from .eccurve import CmCurve, custom_curve, get_curve, load_table
+from .eccurve import CmCurve, custom_curve, get_curve
 from .frobenius import BAD, KINDS, AmbiguousFrobenius
 from .oracle import ENUMERATION_BOUND, group_structure
 from .quadorder import QuadInt, order
@@ -51,36 +54,30 @@ def _usable_cores() -> int:
 
 
 def _resolve_curve(args) -> CmCurve:
-    if getattr(args, "custom", None) and (args.curve or args.table):
-        raise SystemExit2("--custom cannot be combined with --curve or --table")
-    table = None
-    if getattr(args, "table", None):
-        try:
-            table = load_table(args.table)
-        except (OSError, ValueError) as e:
-            raise SystemExit2(f"--table {args.table}: {e}")
-    if getattr(args, "custom", None):
+    if args.custom and args.curve:
+        raise SystemExit2("--custom cannot be combined with --curve")
+    if args.custom:
         try:
             a, b, g, f = (int(t) for t in args.custom.split(","))
         except ValueError:
             raise SystemExit2(f"--custom expects four integers A,B,g,f, got {args.custom!r}")
         try:
             curve = custom_curve(a, b, g, f)
+            _, mismatches = oracle_mismatches(curve, 200)
         except ValueError as e:
             raise SystemExit2(f"--custom {args.custom}: {e}")
-        _, mismatches = oracle_mismatches(curve, 200)
+        except AmbiguousFrobenius as e:
+            raise SystemExit2(f"custom curve failed validation at p={e.p}: ambiguous Frobenius")
         if mismatches:
             p, rec, (_, _, n) = mismatches[0]
             raise SystemExit2(
-                f"custom curve failed validation at p={p}: "
-                f"a_p={None if rec is None else rec.a_p} but count gives {p + 1 - n}"
+                f"custom curve failed validation at p={p}: a_p={rec.a_p} but count gives {p + 1 - n}"
             )
         return curve
-    label = getattr(args, "curve", None)
-    if not label:
+    if not args.curve:
         raise SystemExit2("one of --curve or --custom is required")
     try:
-        return get_curve(label, table)
+        return get_curve(args.curve)
     except KeyError as e:
         raise SystemExit2(str(e))
 
@@ -246,10 +243,8 @@ def oracle_mismatches(curve: CmCurve, pmax: int) -> tuple[int, list]:
 
     Returns (checked, mismatches): the number of good primes compared and,
     in increasing p, (p, record, (d, e, N)) for each record whose
-    (d_p, e_p, N, a_p) is not the oracle's (d, e, d*e, p + 1 - d*e).  If
-    point sampling cannot settle the Frobenius at some p, the scan raises
-    AmbiguousFrobenius and stops there: p is listed with record None, and
-    the primes after it are not checked.
+    (d_p, e_p, N, a_p) is not the oracle's (d, e, d*e, p + 1 - d*e).  An
+    AmbiguousFrobenius from the scan propagates.
     """
     checked = 0
     mismatches = []
@@ -265,13 +260,7 @@ def oracle_mismatches(curve: CmCurve, pmax: int) -> tuple[int, list]:
             if (rec.d_p, rec.e_p, rec.N, rec.a_p) != (d, e, n, rec.p + 1 - n):
                 mismatches.append((rec.p, rec, (d, e, n)))
 
-    try:
-        scan(curve, pmax, workers=1, records=check)
-    except AmbiguousFrobenius as err:
-        # The range that met err.p never reached check: scan up to the prime before it.
-        checked, mismatches = oracle_mismatches(curve, err.p - 1)
-        d, e = group_structure(curve, err.p)
-        return checked + 1, mismatches + [(err.p, None, (d, e, d * e))]
+    scan(curve, pmax, workers=1, records=check)
     return checked, mismatches
 
 
@@ -284,8 +273,7 @@ def cmd_verify(args) -> int:
         print(f"{curve.label}: {len(mismatches)} mismatches over {checked} good primes")
         print("p,pipeline(d,e,N,a),oracle(d,e,N)")
         for p, rec, oracle_t in mismatches:
-            pipe = "unresolved" if rec is None else f"({rec.d_p},{rec.e_p},{rec.N},{rec.a_p})"
-            print(f"{p},{pipe},{oracle_t}")
+            print(f"{p},({rec.d_p},{rec.e_p},{rec.N},{rec.a_p}),{oracle_t}")
         return 1
     print(f"{curve.label}: 0 mismatches over {checked} good primes up to {args.pmax}")
     return 0
@@ -375,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_curve_args(sp):
         sp.add_argument("--curve", help="curve label from the table (e.g. j1728-D4 or D4)")
         sp.add_argument("--custom", help="custom model as A,B,g,f (validated against the oracle)")
-        sp.add_argument("--table", help="path to an alternative curve table file")
 
     sp = sub.add_parser("scan", help="scan primes up to a bound and export records")
     add_curve_args(sp)

@@ -7,6 +7,7 @@ brute-force point counts.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -56,7 +57,7 @@ def custom_curve(A: int, B: int, g: int, f: int = 1, label: str | None = None) -
     """User-supplied model; the caller claims CM by the (g, f) order.
 
     The CLI enforces the claim by the oracle gate of the shipped table
-    (cli.oracle_mismatches); a wrong (g, f) fails loudly there.
+    (cli.oracle_mismatches up to p = 200); a wrong (g, f) fails loudly there.
     """
     if label is None:
         label = f"custom-{A}-{B}"
@@ -81,38 +82,22 @@ def _parse_table(text: str) -> list[CmCurve]:
     return curves
 
 
-def load_table(path: str | None = None) -> list[CmCurve]:
-    """The curve table, from the packaged data file or an override path."""
-    if path is None:
-        text = resources.files(__package__).joinpath("data/curves.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+@functools.cache
+def curve_table() -> list[CmCurve]:
+    """The packaged curve table, one model per class-number-one order."""
+    text = resources.files(__package__).joinpath("data/curves.txt").read_text()
     curves = _parse_table(text)
-    if path is None:
-        pairs = {(c.order.g, c.order.f) for c in curves}
-        if pairs != set(ORDER_PARAMS):
-            raise ValueError("packaged table does not cover the thirteen orders")
+    if {(c.order.g, c.order.f) for c in curves} != set(ORDER_PARAMS):
+        raise ValueError("packaged table does not cover the thirteen orders")
     return curves
 
 
-_TABLE: list[CmCurve] | None = None
-
-
-def curve_table() -> list[CmCurve]:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = load_table()
-    return _TABLE
-
-
-def get_curve(label: str, table: list[CmCurve] | None = None) -> CmCurve:
-    """Look a curve up by exact label or by its D-suffix alias (e.g. 'D4')."""
-    curves = table if table is not None else curve_table()
-    for c in curves:
+def get_curve(label: str) -> CmCurve:
+    """Look a table curve up by exact label or by its D-suffix alias (e.g. 'D4')."""
+    for c in curve_table():
         if c.label == label:
             return c
-    for c in curves:
+    for c in curve_table():
         if c.label.rsplit("-", 1)[-1] == label:
             return c
     raise KeyError(f"no curve labelled {label!r}")

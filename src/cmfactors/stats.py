@@ -43,8 +43,13 @@ from .quadorder import OrderDesc, QuadInt, conj, norm, units
 CHUNK_SPAN = 1 << 16
 
 # Scans stop below this bound: _isqrt is exact below 2^52 and the sweep
-# takes it of 4*hi, and the job list, built up front, stays small.
+# takes it of 4*hi.  The ranges are walked lazily, so no job list grows
+# with x_max.
 X_MAX_LIMIT = 1 << 50
+
+# _supersingular_dp's largest table of squares, one byte per residue mod q:
+# scan refuses a model whose discriminant has an odd power of a larger prime.
+SQUARES_BOUND = 1 << 24
 
 # tools/frobenius_rules.py checks the packaged rules up to this bound; a
 # scan beyond it re-derives its GUARD_PRIMES largest ordinary primes by
@@ -179,8 +184,27 @@ def _squares(q: int) -> np.ndarray:
     """Whether each residue mod the odd prime q is a nonzero square."""
     table = np.zeros(q, dtype=bool)
     x = np.arange(1, q // 2 + 1, dtype=np.int64)
-    table[x * x % q] = True
+    x *= x
+    x %= q
+    table[x] = True
     return table
+
+
+def _odd_disc_primes(curve: CmCurve) -> list[int]:
+    """The primes that divide the discriminant -4A^3 - 27B^2 to an odd power.
+
+    Raises ValueError if the bad primes do not cover the discriminant, or
+    if an odd one passes SQUARES_BOUND, the largest table of squares."""
+    disc, odd = -4 * curve.A**3 - 27 * curve.B**2, set()
+    for q in curve.bad_primes:
+        while disc % q == 0:
+            disc, odd = disc // q, odd ^ {q}
+    if abs(disc) != 1:
+        raise ValueError(f"the bad primes of {curve.label} do not cover its discriminant")
+    if odd and max(odd) > SQUARES_BOUND:
+        raise ValueError(f"the discriminant of {curve.label} has an odd power of "
+                         f"{max(odd)}, past the table-of-squares bound {SQUARES_BOUND}")
+    return sorted(odd)
 
 
 def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
@@ -192,16 +216,9 @@ def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
     odd power.  For p = 3 (mod 4), (-1/p) = -1, (2/p) = 1 iff p = 7 (mod 8)
     and, by reciprocity, (q/p) = (-p/q) for odd q: a lookup in a table of size q.
     """
-    disc = -4 * curve.A**3 - 27 * curve.B**2
-    nonsquare = np.full(len(p), disc < 0)
-    for q in sorted(curve.bad_primes):
-        odd = False
-        while disc % q == 0:
-            disc, odd = disc // q, not odd
-        if odd:
-            nonsquare ^= p % 8 == 3 if q == 2 else ~_squares(q)[-p % q]
-    if abs(disc) != 1:
-        raise ValueError(f"the bad primes of {curve.label} do not cover its discriminant")
+    nonsquare = np.full(len(p), 4 * curve.A**3 + 27 * curve.B**2 > 0)
+    for q in _odd_disc_primes(curve):
+        nonsquare ^= p % 8 == 3 if q == 2 else ~_squares(q)[-p % q]
     return np.where((p % 4 == 3) & ~nonsquare, 2, 1)
 
 
@@ -391,13 +408,14 @@ def scan(
     [2, x_max] is cut into ranges of CHUNK_SPAN integers, counted down from
     x_max so that only the first may be shorter; each job sieves its own
     range.  `workers` W processes sweep, the caller among them: job i goes
-    to process i % W by a fixed round robin.  Each of the W - 1 forked
-    children gets its whole job list at start and sends each result over
-    its own pipe, blocking once the pipe is full, so the backlog stays
-    bounded.  The caller walks the jobs in order, sweeping its own and
-    receiving the others, merges the results in increasing p and calls
-    `records`, if given, with each range's RecordBlock (iterating it yields
-    the PrimeRecords in increasing p), so memory does not grow with x_max.
+    to process i % W by a fixed round robin, and each process builds its
+    jobs one at a time from a lazy range.  Each of the W - 1 forked
+    children sends each result over its own pipe, blocking once the pipe
+    is full, so the backlog stays bounded.  The caller walks the jobs in
+    order, sweeping its own and receiving the others, merges the results
+    in increasing p and calls `records`, if given, with each range's
+    RecordBlock (iterating it yields the PrimeRecords in increasing p), so
+    memory does not grow with x_max.
     `render` is applied to each RecordBlock in the process that swept it,
     and `records` receives its result instead: that moves, say, CSV
     formatting into the children, and only its result crosses back.  A
@@ -409,21 +427,26 @@ def scan(
     accumulator are the same at any worker count and chunk span.  Past
     RULES_CHECKED_TO, a model with a rule has the top of its last range, a
     full one, checked by point sampling in the process that sweeps it.
-    x_max must lie below X_MAX_LIMIT; a larger bound raises ValueError
-    before any job is built.
+    x_max must lie below X_MAX_LIMIT; a larger bound, or a model that
+    _odd_disc_primes refuses, raises ValueError before any job is built.
     """
     if not 2 <= x_max < X_MAX_LIMIT:
         raise ValueError(f"x_max must lie in [2, 2^50), got {x_max}")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
     keep = records is not None
     guard = x_max > RULES_CHECKED_TO and rule_for(curve) is not None
-    jobs = [
-        (curve, max(hi - CHUNK_SPAN + 1, 2), hi, cps, keep, render, guard and hi == x_max)
-        for hi in reversed(range(x_max, 1, -CHUNK_SPAN))
-    ]
-    w = max(1, min(workers, len(jobs)))
-    # fork, not spawn: the children inherit the jobs, render and any rebound
-    # module name without pickling, and scan itself starts no thread.
+    _odd_disc_primes(curve)
+    span = CHUNK_SPAN
+    his = range(x_max, 1, -span)[::-1]
+
+    def jobs(part):
+        # The _scan_chunk arguments of the ranges that end at part, built as needed.
+        for hi in part:
+            yield curve, max(hi - span + 1, 2), hi, cps, keep, render, guard and hi == x_max
+
+    w = max(1, min(workers, len(his)))
+    # fork, not spawn: the children inherit their jobs, render and any
+    # rebound module name without pickling, and scan itself starts no thread.
     ctx = multiprocessing.get_context("fork")
     children, pipes = [], []
     acc = None
@@ -431,12 +454,12 @@ def scan(
         for k in range(1, w):
             recv_end, send_end = ctx.Pipe(duplex=False)
             pipes.append(recv_end)
-            children.append(ctx.Process(target=_sweep_jobs, args=(send_end, jobs[k::w])))
+            children.append(ctx.Process(target=_sweep_jobs, args=(send_end, jobs(his[k::w]))))
             children[-1].start()
             # Closed before the next fork, so only child k holds this end and
             # its death ends the pipe.
             send_end.close()
-        for i, job in enumerate(jobs):
+        for i, job in enumerate(jobs(his)):
             if i % w == 0:
                 part, kept = _scan_chunk(*job)
             else:
@@ -612,7 +635,7 @@ def _squarefree_sieve(t: int) -> np.ndarray:
 
 
 EXACT_SUM_BOUND = 20000
-# The largest t of schur_sum and Z of wintner_sum; wintner_sum peaks near 350 MB there.
+# The largest t of schur_sum and Z of wintner_sum; wintner_sum peaks near 240 MB there.
 SUM_BOUND = 10**7
 
 
@@ -646,9 +669,11 @@ def wintner_sum(Z: int, exact: bool | None = None):
         return sum(
             Fraction(int(phi[d]), d * d) for d in range(1, Z + 1) if sq[d]
         )
-    ds = np.arange(Z + 1, dtype=np.float64)
-    terms = np.zeros(Z + 1)
-    terms[1:] = phi[1:] / ds[1:] ** 2
+    # phi(d) / d^2 in place in one float copy of phi; d^2 < 2^53 is exact.
+    terms, phi = phi.astype(np.float64), None
+    dd = np.arange(Z + 1, dtype=np.float64)
+    dd *= dd
+    terms[1:] /= dd[1:]
     terms[~sq] = 0.0
     return float(terms[1:].sum())
 

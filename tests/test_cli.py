@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,6 @@ import cmfactors
 
 from cmfactors import frobenius, oracle, stats
 from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, build_parser, main
-from cmfactors.eccurve import get_curve, load_table
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.quadorder import QuadInt, order
@@ -91,16 +92,8 @@ def test_verify_corrupted_entry_fails(capsys):
         capsys, "verify", "--custom", "0,2,-1,1", "--pmax", "100"
     )
     assert code == 2  # the custom-curve gate rejects it before the verify loop
-
-
-def test_verify_table_override_with_wrong_order(tmp_path, capsys):
-    table = tmp_path / "table.txt"
-    table.write_text("liar 0 2 -1 1 2,3\n")
-    code, stdout, _ = run(
-        capsys, "verify", "--table", str(table), "--curve", "liar", "--pmax", "100"
-    )
-    assert code == 1
-    assert "mismatches" in stdout
+    assert stdout == "" and err == (
+        "error: custom curve failed validation at p=5: ambiguous Frobenius\n")
 
 
 @pytest.mark.parametrize("corrupt", ["supersingular-dp", "unit-selection"])
@@ -220,14 +213,44 @@ def test_custom_twist_by_large_prime_scans(capsys):
     assert json.loads(stdout[stdout.index("{"):])["curve"] == "custom--1000003-0"
 
 
-def test_table_override_scan(tmp_path, capsys):
+def test_custom_past_the_squares_bound_exits_2(capsys, monkeypatch):
+    # The discriminant 4 * 1000003^3 has an odd power of 1000003, whose
+    # table of squares would pass the (lowered) bound: refused before any
+    # range is swept.
+    monkeypatch.setattr(stats, "SQUARES_BOUND", 10**6)
+    monkeypatch.setattr(stats, "_scan_chunk", None)
+    code, stdout, err = run(capsys, "scan", "--custom=-1000003,0,-1,1", "--xmax", "20000")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --custom -1000003,0,-1,1: ") and err.count("\n") == 1
+    assert "1000003, past the table-of-squares bound 1000000" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--xmax", "100"], ["verify", "--pmax", "100"], ["identity", "--x", "100"],
+], ids=["scan", "verify", "identity"])
+def test_table_option_is_rejected(tmp_path, command):
     table = tmp_path / "table.txt"
     table.write_text("mine -1 0 -1 1 2\n")
-    code, stdout, _ = run(
-        capsys, "scan", "--table", str(table), "--curve", "mine", "--xmax", "20"
-    )
-    assert code == 0
-    assert json.loads(stdout[stdout.index("{"):])["sum_dp"] == 16
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--table", str(table), "--curve", "mine"])
+    assert exc.value.code == 2
+
+
+def _option_strings(parser) -> set[str]:
+    """Every option string of parser and of its subcommands, at any depth."""
+    found = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_readme_names_only_options_the_cli_accepts():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", fh.read()))
+    assert named and named - _option_strings(build_parser()) == set()
 
 
 def _rows(values):
@@ -267,8 +290,6 @@ def test_block_bytes_matches_record_lines():
         ["scan", "--custom", "1,2,x,1", "--xmax", "100"],
         ["scan", "--custom", "1,1,5,1", "--xmax", "100"],
         ["scan", "--custom", "0,0,-1,1", "--xmax", "100"],
-        ["scan", "--table", "SINGULAR_TABLE", "--curve", "sing", "--xmax", "100"],
-        ["scan", "--curve", "D4", "--table", "/nonexistent", "--xmax", "100"],
         ["verify", "--custom", "10000000000000000007,1,-1,1", "--pmax", "100"],
         ["aux", "bt", "--x", "100", "--mu", "2", "--alpha", "1", "--g", "5"],
         ["aux", "bt", "--x", "100", "--mu", "2,x", "--alpha", "1"],
@@ -280,7 +301,6 @@ def test_block_bytes_matches_record_lines():
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
         ["scan", "--curve", "D163", "--custom=-1,0,-1,1", "--xmax", "100"],
-        ["scan", "--table", "TABLE", "--custom=-1,0,-1,1", "--xmax", "100"],
         ["scan", "--curve", "D4", "--xmax", str(10**20)],
         ["scan", "--curve", "D4", "--xmax", str(2**50)],
         ["identity", "--curve", "D4", "--x", str(10**20)],
@@ -288,20 +308,15 @@ def test_block_bytes_matches_record_lines():
     ids=[
         "checkpoints-abc", "checkpoint-above-xmax", "verify-pmax-1", "identity-x-1",
         "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
-        "custom-singular", "table-singular", "table-missing", "custom-unfactorable",
+        "custom-singular", "custom-unfactorable",
         "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "bt-alpha-overflow", "wintner-z-1e11",
         "trivlem-trials-negative",
         "out-unwritable", "workers-0", "workers-negative",
-        "custom-with-curve", "custom-with-table",
+        "custom-with-curve",
         "xmax-1e20", "xmax-2^50", "identity-x-1e20",
     ],
 )
 def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
-    for name, text in (("SINGULAR_TABLE", "sing 0 0 -1 1 2\n"), ("TABLE", "mine -1 0 -1 1 2\n")):
-        if name in argv:
-            table = tmp_path / "table.txt"
-            table.write_text(text)
-            argv = [str(table) if a == name else a for a in argv]
     argv = [str(tmp_path / "missing" / "x.csv") if a == "UNWRITABLE_PATH" else a for a in argv]
     code, stdout, err = run(capsys, *argv)
     assert code == 2
@@ -309,28 +324,31 @@ def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
     assert stdout == ""
 
 
-def test_ambiguous_scan_leaves_no_output(tmp_path, tmp_path_factory, capsys, monkeypatch):
+def _ambiguous_above_the_gate(monkeypatch):
+    # Sampling settles every p up to the --custom gate's 200 and no p above it.
     def ambiguous(p, curve, pi0=None):
-        if p > 50:
+        if p > 200:
             raise AmbiguousFrobenius(p)
         return real(p, curve, pi0)
 
     real = stats.frobenius_by_sampling
     monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
-    # Small chunks, so rows below p = 50 reach the temp CSV before the failure.
+
+
+def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):
+    _ambiguous_above_the_gate(monkeypatch)
+    # Small chunks, so rows below p = 200 reach the temp CSV before the failure.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 16)
     # The twist y^2 = x^3 - 4x has no residue rule, so its sweep hands each
     # ordinary p to point sampling, the only path that can meet an
-    # ambiguous Frobenius.
-    table = tmp_path_factory.mktemp("table") / "table.txt"
-    table.write_text("j1728-D4 -4 0 -1 1 2\n")
+    # ambiguous Frobenius.  Its first ordinary p above 200 is 229.
     out = tmp_path / "r.csv"
     code, stdout, err = run(
-        capsys, "scan", "--table", str(table), "--curve", "j1728-D4", "--xmax", "100",
+        capsys, "scan", "--custom=-4,0,-1,1", "--xmax", "400",
         "--workers", "1", "--out", str(out),
     )
     assert code == 3
-    assert err == "ambiguous Frobenius at p=53\n"
+    assert err == "ambiguous Frobenius at p=229\n"
     assert stdout == ""
     assert os.listdir(tmp_path) == []
 
@@ -373,27 +391,11 @@ def test_workers_default_to_the_usable_cores(monkeypatch):
     assert build_parser().parse_args(["scan", "--curve", "D4", "--xmax", "10"]).workers == 1
 
 
-def test_verify_lists_an_ambiguous_prime_as_unresolved(tmp_path, capsys, monkeypatch):
-    # The scan stops at the prime that sampling cannot settle; every good
-    # prime below it is still checked, and none above it.
-    def ambiguous(p, curve, pi0=None):
-        if p > 50:
-            raise AmbiguousFrobenius(p)
-        return real(p, curve, pi0)
-
-    real = stats.frobenius_by_sampling
-    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
-    table = tmp_path / "table.txt"
-    table.write_text("j1728-D4 -4 0 -1 1 2\n")
-    code, stdout, _ = run(
-        capsys, "verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "1000")
-    assert code == 1
-    oracle_t = oracle.group_structure(get_curve("j1728-D4", load_table(str(table))), 53)
-    assert stdout == (
-        "j1728-D4: 1 mismatches over 15 good primes\n"
-        "p,pipeline(d,e,N,a),oracle(d,e,N)\n"
-        f"53,unresolved,{(*oracle_t, oracle_t[0] * oracle_t[1])}\n"
-    )
+def test_verify_ends_on_an_ambiguous_prime_with_exit_3(capsys, monkeypatch):
+    # verify ends where scan does: one line naming the prime, no mismatch rows.
+    _ambiguous_above_the_gate(monkeypatch)
+    code, stdout, err = run(capsys, "verify", "--custom=-4,0,-1,1", "--pmax", "1000")
+    assert (code, stdout, err) == (3, "", "ambiguous Frobenius at p=229\n")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -406,18 +408,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
-def test_count_past_its_bound_exits_3(tmp_path, capsys, monkeypatch):
+def test_count_past_its_bound_exits_3(capsys, monkeypatch):
     # Sampling that stalls falls back to count_points; past COUNT_BOUND
-    # (lowered here, so the scan stays small) the scan ends with the one-line
-    # ambiguity message and exit 3, never with a miscount or a traceback.
-    monkeypatch.setattr(oracle, "COUNT_BOUND", 50)
+    # (lowered here, above the --custom gate's 200, so the scan stays small)
+    # the scan ends with the one-line ambiguity message and exit 3, never
+    # with a miscount or a traceback.
+    monkeypatch.setattr(oracle, "COUNT_BOUND", 250)
     monkeypatch.setattr(frobenius, "MAX_SAMPLE_POINTS", 0)
-    table = tmp_path / "table.txt"
-    table.write_text("j1728-D4 -4 0 -1 1 2\n")
-    code, _, err = run(
-        capsys, "scan", "--table", str(table), "--curve", "j1728-D4", "--xmax", "200",
-        "--workers", "1",
-    )
+    code, _, err = run(capsys, "scan", "--custom=-4,0,-1,1", "--xmax", "400", "--workers", "1")
     assert code == 3
     p = int(err.removeprefix("ambiguous Frobenius at p="))
-    assert p > 50 and err == f"ambiguous Frobenius at p={p}\n"
+    assert p > 250 and err == f"ambiguous Frobenius at p={p}\n"

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from cmfactors.eccurve import (
+    _parse_table,
     add,
     cubic_splits,
     get_curve,
     is_on_curve,
-    load_table,
     model_bad_primes,
     random_point,
     scalar_mul,
@@ -138,16 +138,7 @@ def test_scalar_mul_additive(curve_d4):
         assert lhs == rhs
 
 
-def test_load_table_rejects_corrupt_bad_primes(tmp_path):
-    path = tmp_path / "table.txt"
-    path.write_text("demo -1 0 -1 1 2,3\n")
+def test_parse_table_rejects_corrupt_bad_primes():
+    assert [c.label for c in _parse_table("# comment\nmine -1 0 -1 1 2\n")] == ["mine"]
     with pytest.raises(ValueError):
-        load_table(str(path))
-
-
-def test_load_table_override(tmp_path):
-    path = tmp_path / "table.txt"
-    path.write_text("# comment\nmine -1 0 -1 1 2\n")
-    curves = load_table(str(path))
-    assert len(curves) == 1
-    assert curves[0].label == "mine"
+        _parse_table("demo -1 0 -1 1 2,3\n")

@@ -8,7 +8,7 @@ import pytest
 
 from cmfactors import frobenius, oracle, stats
 from cmfactors.cli import main, oracle_mismatches
-from cmfactors.eccurve import curve_table, custom_curve, get_curve, load_table, random_point
+from cmfactors.eccurve import CmCurve, curve_table, custom_curve, get_curve, random_point
 from cmfactors.frobenius import (
     AmbiguousFrobenius,
     classify,
@@ -19,7 +19,7 @@ from cmfactors.frobenius import (
 from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, parse_rules, rule_for
 from cmfactors.oracle import count_points, group_structure
 from cmfactors.primesieve import factorize, primes_upto
-from cmfactors.quadorder import QuadInt, conj, content, norm, trace
+from cmfactors.quadorder import QuadInt, conj, content, norm, order, trace
 from cmfactors.stats import scan
 
 
@@ -138,8 +138,11 @@ def test_validate_curve_accepts_table_entries(all_curves):
 
 def test_validate_curve_flags_wrong_order():
     # y^2 = x^3 + 2 has j = 0 (CM by g = -3); claiming g = -1 must fail loudly.
+    # No unit multiple of Cornacchia's element passes sampling at p = 5.
     liar = custom_curve(0, 2, -1, 1, label="liar")
-    assert oracle_mismatches(liar, 200)[1] != []
+    with pytest.raises(AmbiguousFrobenius) as err:
+        oracle_mismatches(liar, 200)
+    assert err.value.p == 5
 
 
 def test_ambiguous_frobenius_carries_prime():
@@ -199,12 +202,10 @@ def test_rule_path_agrees_with_sampling_to_1e5(all_curves):
             assert (pi, n) == (ref, n_ref), (curve.label, p)
 
 
-def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
+def test_twisted_table_model_takes_sampling_path(capsys, monkeypatch):
     # y^2 = x^3 - 4x is the quadratic twist of j1728-D4 by 2: same label and
     # order, different Frobenius, so the D4 rule must not apply to it.
-    table = tmp_path / "table.txt"
-    table.write_text("j1728-D4 -4 0 -1 1 2\n")
-    twist = get_curve("j1728-D4", load_table(str(table)))
+    twist = CmCurve("j1728-D4", -4, 0, order(-1, 1), frozenset({2}))
     assert rule_for(twist) is None
     sampled = []
     monkeypatch.setattr(
@@ -213,7 +214,7 @@ def test_twisted_table_model_takes_sampling_path(tmp_path, capsys, monkeypatch):
     )
     assert oracle_mismatches(twist, 2000)[1] == []
     assert 5 in sampled
-    code = main(["verify", "--table", str(table), "--curve", "j1728-D4", "--pmax", "2000"])
+    code = main(["verify", "--custom=-4,0,-1,1", "--pmax", "2000"])
     assert code == 0, capsys.readouterr().out
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,26 @@ def test_scan_sieves_one_chunk_at_a_time(curve_d4, monkeypatch):
     acc = scan(curve_d4, 10**5, workers=1)
     assert acc.pi_x == 9592
     assert spans and max(spans) <= stats.CHUNK_SPAN
+
+
+def test_scan_memory_does_not_grow_with_x_max(curve_d4, monkeypatch):
+    # 62,500 ranges of 16 integers: up to the first range swept, scan holds
+    # nothing per range, as a list of jobs built up front would (~10 MB).
+    class FirstChunk(Exception):
+        pass
+
+    def first_chunk(*args):
+        raise FirstChunk(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 16)
+    monkeypatch.setattr(stats, "_scan_chunk", first_chunk)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstChunk) as peak:
+            scan(curve_d4, 10**6, workers=1)
+    finally:
+        tracemalloc.stop()
+    assert peak.value.args[0] < 256 * 1024
 
 
 def _random_spans(rng, x):
