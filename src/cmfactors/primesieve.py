@@ -1,12 +1,17 @@
 """Primes and integer factorisation: the package's one source of each.
 
 `primes_array(x, lo)` is a windowed sieve of Eratosthenes: one odd-only
-numpy mask over [lo, x], struck by the odd primes up to sqrt(x), which the
-same sieve lists on the window [2, sqrt(x)].  A scan range of
-stats.CHUNK_SPAN integers is one such window; `primes_upto` is the window
-[2, x] as a list.  `factorize` is trial division, exact for every integer
-the package meets (group orders, element norms, divisors of d_p, model
-discriminants); `euler_phi` and `divisors` are built on it.
+numpy mask over [lo, x], struck segment by segment by the odd primes up to
+sqrt(x).  Those base primes come from a per-process cache, filled on first
+need (never at import) by the same sieve and regrown to the next power of
+two of the root a larger window asks for.  Each base prime below
+SLICE_BELOW strikes one strided slice per segment; all larger ones strike a
+segment in one scatter, whose positions are built run by run as in
+stats._ranges.  A scan range of stats.CHUNK_SPAN integers is one segment;
+`primes_upto` is the window [2, x] as a list.  `factorize` is trial
+division, exact for every integer the package meets (group orders, element
+norms, divisors of d_p, model discriminants); `euler_phi` and `divisors`
+are built on it.
 """
 from __future__ import annotations
 
@@ -19,6 +24,59 @@ import numpy as np
 TRIAL_LIMIT = 10**6
 
 
+# Odd base primes below SLICE_BELOW strike one slice each; the larger ones
+# strike in one scatter, where a slice's fixed cost would outweigh its work.
+SLICE_BELOW = 1 << 7
+
+# primes_array strikes its mask this many slots (odd numbers) at a time, so
+# a scatter's positions take about a megabyte whatever the window.
+SEGMENT = 1 << 17
+
+# The odd primes up to _base_root, in increasing order; see _odd_base_primes.
+_base = np.zeros(0, dtype=np.int64)
+_base_root = 2
+
+
+def _odd_base_primes(root: int) -> np.ndarray:
+    """The odd primes <= root, as a view of the per-process cache.
+
+    A root past the cached one refills the cache up to the next power of
+    two, so a scan whose root creeps up refills it O(log root) times.  The
+    root of X_MAX_LIMIT = 2^50, 2^25, holds about 2.1M primes (16 MB).
+    """
+    global _base, _base_root
+    if root > _base_root:
+        top = 1 << (root - 1).bit_length()
+        _base = primes_array(top, lo=3)
+        _base_root = top
+    return _base[: np.searchsorted(_base, root, side="right")]
+
+
+def _strike(mask: np.ndarray, low: int, base: np.ndarray) -> None:
+    """Clear the odd multiples q*k >= q^2 of each q in base from mask, whose
+    slot i stands for the odd number low + 2i."""
+    small = np.searchsorted(base, SLICE_BELOW)
+    for q in base[:small].tolist():
+        start = max(q * q, (low + q - 1) // q * q)
+        if start % 2 == 0:
+            start += q
+        mask[(start - low) // 2 :: q] = False
+    q = base[small:]
+    # Per q, the first odd multiple at or past max(q^2, low), as a slot, and
+    # the number of its multiples (step 2q, one slot each q) in the mask.
+    start = (low + q - 1) // q
+    start *= q
+    np.maximum(start, q * q, out=start)
+    start += q * (1 - (start & 1))
+    first = (start - low) >> 1
+    counts = np.maximum((len(mask) - first + q - 1) // q, 0)
+    before = np.cumsum(counts) - counts
+    at = np.arange(counts.sum(), dtype=np.int64)
+    at *= np.repeat(q, counts)
+    at += np.repeat(first - q * before, counts)
+    mask[at] = False
+
+
 def primes_array(x: int, lo: int = 2) -> np.ndarray:
     """The primes in [lo, x] as one int64 array (empty if there are none)."""
     if x < 2:
@@ -29,12 +87,12 @@ def primes_array(x: int, lo: int = 2) -> np.ndarray:
     # mask is empty exactly when the window holds no odd number above 2.
     low = max(lo, 3) | 1
     mask = np.ones((x - low) // 2 + 1, dtype=bool)
-    root = math.isqrt(x)
-    for q in (primes_array(root)[1:].tolist() if root >= 2 else ()):
-        start = max(q * q, (low + q - 1) // q * q)
-        if start % 2 == 0:
-            start += q
-        mask[(start - low) // 2 :: q] = False
+    base = _odd_base_primes(math.isqrt(x))
+    for i in range(0, len(mask), SEGMENT):
+        seg = mask[i : i + SEGMENT]
+        seg_low = low + 2 * i
+        top = math.isqrt(seg_low + 2 * (len(seg) - 1))
+        _strike(seg, seg_low, base[: np.searchsorted(base, top, side="right")])
     odd = low + 2 * np.flatnonzero(mask).astype(np.int64)
     return np.concatenate((np.array([2], dtype=np.int64), odd)) if lo == 2 else odd
 

@@ -12,14 +12,16 @@ A scan on W workers runs W processes, the caller among them: range i goes
 to process i % W by a fixed round robin, and each of the W - 1 forked
 children sends its results over its own pipe, so the backlog is bounded.
 
-Every range is swept as arrays: its lattice points of prime norm give the
-ordinary primes with Cornacchia's element, whose unit a residue rule
-(frobrules) or, for a model without one, point sampling picks; residue
-tables of p give the supersingular d_p.  The sweep builds one point per
-split p, in the sector where Cornacchia's element lies, and of those only
-the points whose parity classes (a mod 2, b mod 2) give an odd norm; p = 2
-is never such a norm here and goes through dp_ep with p = 3 and the bad
-primes.
+Every range is swept as arrays into Columns, its records in three parts:
+p <= 3 and the bad primes, p = 2 among them, through dp_ep; the ordinary
+primes, from the lattice points of prime norm with Cornacchia's element,
+whose unit a residue rule (frobrules) or, for a model without one, point
+sampling picks; and the supersingular primes, the rest of the range's
+bitmap, whose d_p comes from residue tables.  The sweep builds one point
+per split p, in the sector where Cornacchia's element lies, and of those
+only the points whose parity classes (a mod 2, b mod 2) give an odd norm.
+A range's accumulator is summed straight from its columns; its (n, 8)
+RecordBlock rows are built only when the caller keeps the records.
 """
 from __future__ import annotations
 
@@ -156,28 +158,6 @@ class RecordBlock:
         for p, k, *rest in self.rows.tolist():
             yield PrimeRecord(p, KINDS[k], *rest)
 
-    def accumulator(self, lo: int, hi: int, checkpoints) -> SumAccumulator:
-        """The accumulator over [lo, hi], whose primes these rows are."""
-        p, kind, d, e = self.rows[:, 0], self.rows[:, 1], self.rows[:, 6], self.rows[:, 7]
-        counts = np.bincount(kind, minlength=len(KINDS)).tolist()
-        hist_d, hist_n = np.unique(d, return_counts=True)
-        acc = SumAccumulator(
-            x_lo=lo,
-            x_processed=hi,
-            sum_dp=int(d.sum()),
-            sum_ep=int(e.sum()),
-            hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())),
-            **{f"count_{k}": c for k, c in zip(KINDS, counts)},
-        )
-        xs = sorted(x for x in checkpoints if lo <= x <= hi)
-        upto = np.searchsorted(p, xs, side="right")
-        sums_d = np.concatenate(([0], np.cumsum(d)))[upto].tolist()
-        sums_e = np.concatenate(([0], np.cumsum(e)))[upto].tolist()
-        acc.checkpoints = [
-            Checkpoint(*c) for c in zip(xs, sums_d, sums_e, upto.tolist())
-        ]
-        return acc
-
 
 @functools.cache
 def _squares(q: int) -> np.ndarray:
@@ -254,7 +234,8 @@ def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
     """(p, a, b): cornacchia's element a + b*beta of norm p, once for each p
-    marked in usable[p - lo] that is a norm; the marked p must be prime to D.
+    marked in usable[p - lo] that is a norm; the marked p must be odd primes
+    above 3.
 
     Writing u = 2a + t*b, 4 Nm(a + b*beta) = u^2 + |D| b^2.  Such a p has w
     points of norm p with b >= 1, and only one lies in the sector u > 0,
@@ -266,7 +247,9 @@ def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
     for b mod 2 (an even b always allows a odd), which drops half the
     points for D4, a quarter for D3 and three quarters for D7.  The
     element is the hit itself if a > 0, else (w = 2, t > 0) its conjugate
-    a + t*b - b*beta.
+    a + t*b - b*beta.  A marked p dividing D, |D| = p*m, has no point in
+    the sector: 4p >= |D| b^2 leaves b = 2, u = 0 (m = 1) or b = 1,
+    u^2 = (4 - m)p, and as p | u that needs u = 0 or p | 4 - m.
     """
     hi = lo + len(usable) - 1
     t, n, D = od.beta_trace, od.beta_norm, -od.disc
@@ -303,26 +286,42 @@ def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
     return p, np.where(flip, a + t * b, a), np.where(flip, -b, b)
 
 
-def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
-    """The records of `primes`, the primes of one range from lo.
+class Columns(NamedTuple):
+    """One range's records in three parts, each a tuple of columns that
+    starts with p and ends with d_p and e_p.
 
-    The ordinary primes and cornacchia's element of each come from
-    _split_points.  The unit comes from the model's residue rule or else
-    from frobenius_by_sampling, called in increasing p so that an
-    AmbiguousFrobenius names the smallest such p.  Bad primes and p <= 3,
-    p = 2 among them, go through dp_ep.
+    scalar: the PrimeRecord columns (p, kind, a_p, pi_a, pi_b, N, d_p, e_p)
+        of p <= 3 and the bad primes, from dp_ep, in increasing p;
+    ordinary: (p, a_p, pi_a, pi_b, N, d_p, e_p), in the sweep's order of p;
+    supersingular: (p, N, d_p, e_p), in increasing p.
+    """
+
+    scalar: tuple[np.ndarray, ...]
+    ordinary: tuple[np.ndarray, ...]
+    supersingular: tuple[np.ndarray, ...]
+
+
+def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> Columns:
+    """The records of `primes`, the primes of one range from lo, as Columns.
+
+    The range bitmap marks the primes.  p <= 3 and the bad primes, p = 2
+    among them, leave it for dp_ep.  The ordinary primes and cornacchia's
+    element of each come from _split_points on what is left; the unit comes
+    from the model's residue rule or else from frobenius_by_sampling,
+    called in increasing p so that an AmbiguousFrobenius names the
+    smallest such p.  Once the ordinary primes are cleared, the bitmap
+    holds the supersingular ones, in increasing p.
     """
     hi = int(primes[-1]) if len(primes) else lo
-    rows = np.zeros((len(primes), 8), dtype=np.int64)
-    rows[:, 0] = primes
-    scalar = (primes <= 3) | np.isin(primes, list(curve.bad_primes))
-    for i in np.flatnonzero(scalar).tolist():
-        r = dp_ep(int(primes[i]), curve)
-        rows[i] = (r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p)
-    od = curve.order
-    # Good primes > 3 not dividing D, which are ordinary exactly when they are norms.
     usable = np.zeros(hi - lo + 1, dtype=bool)
-    usable[primes[~scalar & (primes % od.disc != 0)] - lo] = True
+    usable[primes - lo] = True
+    scalar = [q for q in sorted({2, 3, *curve.bad_primes}) if lo <= q <= hi and usable[q - lo]]
+    rows = []
+    for q in scalar:
+        r = dp_ep(q, curve)
+        rows.append((r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p))
+        usable[q - lo] = False
+    od = curve.order
     p, a, b = _split_points(od, lo, usable)
     rule = rule_for(curve)
     if rule is not None:
@@ -333,36 +332,83 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> RecordBlock:
         pis = [frobenius_by_sampling(q, curve, pi0=QuadInt(x, y, od))[0]
                for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())]
         a, b = np.array([(pi.a, pi.b) for pi in pis], dtype=np.int64).reshape(-1, 2).T
-    at = np.searchsorted(primes, p)
+    usable[p - lo] = False
     trace = 2 * a + b * od.beta_trace
     count, d = p + 1 - trace, np.gcd(a - 1, b)
-    rows[at, 1] = _ORD
-    rows[at, 2:] = np.column_stack((trace, a, b, count, d, count // d))
-    # The rest are supersingular: a_p and pi stay 0.
-    ss = ~scalar
-    ss[at] = False
-    count, d = primes[ss] + 1, _supersingular_dp(curve, primes[ss])
-    rows[ss, 1] = _SS
-    rows[ss, 5:] = np.column_stack((count, d, count // d))
+    ss = lo + np.flatnonzero(usable)
+    ss_count = ss + 1
+    ss_d = _supersingular_dp(curve, ss)
+    return Columns(
+        tuple(np.array(rows, dtype=np.int64).reshape(-1, 8).T),
+        (p, trace, a, b, count, d, count // d),
+        (ss, ss_count, ss_d, ss_count // ss_d),
+    )
+
+
+def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator:
+    """The accumulator over [lo, hi], whose primes' records cols holds."""
+    counts = np.bincount(cols.scalar[1], minlength=len(KINDS))
+    counts[_ORD] += len(cols.ordinary[0])
+    counts[_SS] += len(cols.supersingular[0])
+    hist_d, hist_n = np.unique(np.concatenate([part[-2] for part in cols]), return_counts=True)
+    acc = SumAccumulator(
+        x_lo=lo,
+        x_processed=hi,
+        sum_dp=sum(int(part[-2].sum()) for part in cols),
+        sum_ep=sum(int(part[-1].sum()) for part in cols),
+        hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())),
+        **{f"count_{k}": c for k, c in zip(KINDS, counts.tolist())},
+    )
+    for x in sorted(x for x in checkpoints if lo <= x <= hi):
+        upto = [part[0] <= x for part in cols]
+        acc.checkpoints.append(Checkpoint(
+            x,
+            sum(int(part[-2][m].sum()) for part, m in zip(cols, upto)),
+            sum(int(part[-1][m].sum()) for part, m in zip(cols, upto)),
+            sum(int(m.sum()) for m in upto),
+        ))
+    return acc
+
+
+def _record_block(cols: Columns, lo: int, primes: np.ndarray) -> RecordBlock:
+    """The RecordBlock of the primes of one range from lo, from their Columns."""
+    rows = np.zeros((len(primes), 8), dtype=np.int64)
+    rows[:, 0] = primes
+    # Row of each prime by its offset from lo, in place of a search of the unsorted p.
+    row = np.empty(int(primes[-1]) - lo + 1 if len(primes) else 0, dtype=np.int64)
+    row[primes - lo] = np.arange(len(primes))
+    p, *values = cols.scalar
+    rows[row[p - lo], 1:] = np.column_stack(values)
+    # The ordinary and supersingular values are the rows' last columns.
+    for (p, *values), kind in zip(cols[1:], (_ORD, _SS)):
+        at = row[p - lo]
+        rows[at, 1] = kind
+        rows[at, 8 - len(values):] = np.column_stack(values)
     return RecordBlock(rows)
 
 
 def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], keep: bool,
                 render: Callable[[RecordBlock], object] | None = None, guard: bool = False):
     """The accumulator over the primes in [lo, hi] and, if keep, their
-    RecordBlock, or render(block) if render is given.  With guard, the top
-    of the block is first checked by _check_rule_at_top."""
-    block = _sweep(curve, lo, primes_array(hi, lo=lo))
+    RecordBlock, or render(block) if render is given; else None.
+
+    The accumulator comes straight from the sweep's Columns, and the
+    block's (n, 8) rows are built only if keep.  With guard, the top
+    ordinary primes are first checked by _check_rule_at_top.
+    """
+    primes = primes_array(hi, lo=lo)
+    cols = _sweep(curve, lo, primes)
     if guard:
-        _check_rule_at_top(curve, block)
-    acc = block.accumulator(lo, hi, checkpoints)
+        _check_rule_at_top(curve, cols.ordinary)
+    acc = _accumulator(cols, lo, hi, checkpoints)
     if not keep:
         return acc, None
+    block = _record_block(cols, lo, primes)
     return acc, block if render is None else render(block)
 
 
-def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
-    """Re-derive the largest ordinary rows of a block by point sampling.
+def _check_rule_at_top(curve: CmCurve, ordinary: tuple[np.ndarray, ...]) -> None:
+    """Re-derive the largest ordinary records of a range by point sampling.
 
     The rules are data checked only up to RULES_CHECKED_TO; sampling needs
     no rule, so agreement at the top of a longer scan is evidence that the
@@ -370,12 +416,13 @@ def _check_rule_at_top(curve: CmCurve, block: RecordBlock) -> None:
     check does not rest on the sweep's lattice points.  Raises
     ArithmeticError on a mismatch.
     """
-    ordinary = block.rows[block.rows[:, 1] == _ORD]
-    for p, _, _, a, b, n, _, _ in ordinary[-GUARD_PRIMES:].tolist():
-        pi, n_ref = frobenius_by_sampling(p, curve)
-        if (pi.a, pi.b, n_ref) != (a, b, n):
+    p, _, a, b, n, _, _ = ordinary
+    top = np.argsort(p)[-GUARD_PRIMES:]
+    for q, x, y, m in zip(*(col[top].tolist() for col in (p, a, b, n))):
+        pi, n_ref = frobenius_by_sampling(q, curve)
+        if (pi.a, pi.b, n_ref) != (x, y, m):
             raise ArithmeticError(
-                f"the Frobenius rule of {curve.label} disagrees with point sampling at p={p}"
+                f"the Frobenius rule of {curve.label} disagrees with point sampling at p={q}"
             )
 
 
@@ -415,7 +462,8 @@ def scan(
     order, sweeping its own and receiving the others, merges the results
     in increasing p and calls `records`, if given, with each range's
     RecordBlock (iterating it yields the PrimeRecords in increasing p), so
-    memory does not grow with x_max.
+    memory does not grow with x_max.  Without `records` no range builds a
+    RecordBlock: its accumulator comes from the sweep's columns alone.
     `render` is applied to each RecordBlock in the process that swept it,
     and `records` receives its result instead: that moves, say, CSV
     formatting into the children, and only its result crosses back.  A
@@ -635,7 +683,7 @@ def _squarefree_sieve(t: int) -> np.ndarray:
 
 
 EXACT_SUM_BOUND = 20000
-# The largest t of schur_sum and Z of wintner_sum; wintner_sum peaks near 240 MB there.
+# The largest t of schur_sum and Z of wintner_sum; each peaks near 240 MB there.
 SUM_BOUND = 10**7
 
 
@@ -650,9 +698,12 @@ def schur_sum(t: int, exact: bool | None = None):
     phi = _phi_sieve(t)
     if exact:
         return sum(Fraction(m, int(phi[m])) ** 4 for m in range(1, t + 1))
-    ratios = np.arange(t + 1, dtype=np.float64)
-    ratios[1:] /= phi[1:]
-    return float(np.sum(ratios[1:] ** 4))
+    # m / phi(m) in place in one float copy of phi, then its fourth power
+    # in place; phi(m) < 2^53 is exact.
+    terms, phi = phi.astype(np.float64), None
+    np.divide(np.arange(1, t + 1, dtype=np.float64), terms[1:], out=terms[1:])
+    np.power(terms[1:], 4, out=terms[1:])
+    return float(terms[1:].sum())
 
 
 def wintner_sum(Z: int, exact: bool | None = None):

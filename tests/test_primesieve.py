@@ -1,8 +1,13 @@
+import math
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
+from cmfactors import primesieve
 from cmfactors.primesieve import (
     TRIAL_LIMIT,
     divisors,
@@ -69,6 +74,79 @@ def test_primes_array_window():
     for lo, hi in ((1, 10), (11, 10), (2, 1)):
         with pytest.raises(ValueError):
             primes_array(hi, lo=lo)
+
+
+_BASE = _reference_sieve(10**6)
+
+
+def _reference_window(lo, hi):
+    """The primes in [lo, hi], for hi <= 10^12, by a plain sieve of the
+    window with the reference primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo + 1)
+    for p in _BASE[: bisect_right(_BASE, math.isqrt(hi))]:
+        start = max(p * p, (lo + p - 1) // p * p)
+        flags[start - lo :: p] = bytes(len(range(start - lo, hi - lo + 1, p)))
+    return [lo + i for i, f in enumerate(flags) if f and lo + i >= 2]
+
+
+def _windows(rng):
+    """Random windows up to 10^12, lo = hi included, some wider than a segment."""
+    windows = []
+    for _ in range(60):
+        hi = int(10 ** rng.uniform(1, 12))
+        width = rng.choice((1, rng.randint(1, 200), rng.randint(1, 1 << 16),
+                            rng.randint(1, 1 << 19)))
+        windows.append((max(2, hi - width + 1), hi))
+    # Windows narrower than most of their base primes, each of which strikes
+    # such a window at most once.
+    windows += [(hi - w, hi) for hi in (10**12, 999_999_999_989, 10**11 + 3)
+                for w in (0, 5, 120, 3000)]
+    return windows
+
+
+def test_primes_array_matches_a_plain_sieve():
+    rng = random.Random(2024)
+    for lo, hi in _windows(rng):
+        assert primes_array(hi, lo=lo).tolist() == _reference_window(lo, hi), (lo, hi)
+    assert primes_array(93, lo=90).tolist() == []
+    full = _reference_sieve(3000)
+    for x in range(2, 3000):
+        assert primes_array(x).tolist() == full[: bisect_right(full, x)], x
+        if x >= 3:
+            assert primes_array(x, lo=3).tolist() == full[1 : bisect_right(full, x)], x
+
+
+def test_primes_array_segments_are_invisible(monkeypatch):
+    # Segments of a few slots: each starts at a new odd number and strikes
+    # with its own base primes.
+    rng = random.Random(7)
+    monkeypatch.setattr(primesieve, "SEGMENT", 7)
+    for _ in range(40):
+        hi = int(10 ** rng.uniform(1, 9))
+        lo = max(2, hi - rng.randint(0, 3000))
+        assert primes_array(hi, lo=lo).tolist() == _reference_window(lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("roots", [(10, 5000), (5000, 10), (3, 130, 129, 4096)])
+def test_base_prime_cache_fills_in_either_order(monkeypatch, roots):
+    monkeypatch.setattr(primesieve, "_base", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primesieve, "_base_root", 2)
+    odd = _reference_sieve(max(roots))[1:]
+    for root in roots:
+        assert primesieve._odd_base_primes(root).tolist() == odd[: bisect_right(odd, root)]
+        hi = root * root + 2 * root
+        lo = max(2, hi - 500)
+        assert primes_array(hi, lo=lo).tolist() == _reference_window(lo, hi)
+    # The cache never shrinks, and holds the odd primes up to its root.
+    assert primesieve._base_root >= max(roots)
+    assert primesieve._base.tolist() == _reference_sieve(primesieve._base_root)[1:]
+
+
+def test_base_prime_cache_is_empty_at_import():
+    code = ("from cmfactors import cli, primesieve, stats; "
+            "assert primesieve._base_root == 2 and len(primesieve._base) == 0")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_factorize_examples():

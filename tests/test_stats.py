@@ -252,19 +252,24 @@ def _random_spans(rng, x):
     return spans
 
 
-def _dp_ep_chunk(curve, lo, hi, checkpoints):
-    """The records of the primes in [lo, hi] by dp_ep, folded one record at a time."""
+def _fold(records, lo, hi, checkpoints):
+    """The accumulator over [lo, hi] of records in increasing p, folded one
+    at a time, with its snapshots at the checkpoints in [lo, hi]."""
     acc = stats.SumAccumulator(x_lo=lo, x_processed=hi)
-    recs = []
     pending = sorted(x for x in checkpoints if lo <= x <= hi)
-    for p in stats.primes_array(hi, lo=lo).tolist():
-        while pending and pending[0] < p:
+    for rec in records:
+        while pending and pending[0] < rec.p:
             acc.snapshot(pending.pop(0))
-        recs.append(dp_ep(p, curve))
-        acc.accumulate(recs[-1])
+        acc.accumulate(rec)
     for x in pending:
         acc.snapshot(x)
-    return acc, recs
+    return acc
+
+
+def _dp_ep_chunk(curve, lo, hi, checkpoints):
+    """The records of the primes in [lo, hi] by dp_ep, folded one record at a time."""
+    recs = [dp_ep(p, curve) for p in stats.primes_array(hi, lo=lo).tolist()]
+    return _fold(recs, lo, hi, checkpoints), recs
 
 
 # Models without a residue rule, which the sweep hands to point sampling:
@@ -289,6 +294,33 @@ def test_sweep_matches_dp_ep_loop(curve):
         looped.extend(loop_recs)
     assert len(swept) == 9592
     assert swept == looped
+
+
+@pytest.mark.parametrize("curve", curve_table() + RULELESS, ids=lambda c: c.label)
+def test_column_accumulator_matches_the_records_folded(curve):
+    # The accumulator built from the sweep's columns, with and without rows,
+    # against SumAccumulator.accumulate over the same range's records, with
+    # checkpoints on, just below and just above the range's ends.
+    rng = random.Random(f"columns:{curve.label}")
+    for lo, hi in _random_spans(rng, 10**5):
+        cps = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, rng.randint(lo, hi))
+        acc, block = _scan_chunk(curve, lo, hi, cps, True)
+        assert acc == _fold(block, lo, hi, cps), (curve.label, lo, hi)
+        assert _scan_chunk(curve, lo, hi, cps, False) == (acc, None), (curve.label, lo, hi)
+
+
+def test_scan_without_records_builds_no_rows(curve_d4, monkeypatch):
+    # Without a records sink no range builds its (n, 8) rows, the top range
+    # checked past RULES_CHECKED_TO included, at one worker and two.
+    x = stats.RULES_CHECKED_TO + 100
+    reference = _scan_with_records(curve_d4, x, checkpoints=[10**5, x])[0]
+
+    def no_rows(rows):
+        raise AssertionError("a RecordBlock was built")
+
+    monkeypatch.setattr(stats, "RecordBlock", no_rows)
+    for workers in (1, 2):
+        assert scan(curve_d4, x, checkpoints=[10**5, x], workers=workers) == reference
 
 
 def test_sweep_samples_in_increasing_p(monkeypatch):
@@ -436,13 +468,14 @@ def test_split_points_are_cornacchia_elements():
 
 
 def test_sweep_check_tool_finds_no_difference():
-    # The scans of the thirteen curves and three twists through the CLI,
-    # at one and two workers, against dp_ep on every prime up to 2*10^4.
+    # The scans of the thirteen curves and three twists through the CLI, at
+    # one and two workers, with --out and without it (no rows are built),
+    # against dp_ep on every prime up to 2*10^4.
     tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "tools", "sweep_check.py")
     out = subprocess.run([sys.executable, tool, "20000"], capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines()[-1] == "0 of 32 scans differ"
+    assert out.stdout.splitlines()[-1] == "0 of 64 scans differ"
 
 
 # --- decomposition identity ----------------------------------------------------
@@ -535,6 +568,20 @@ def test_schur_exact_vs_float():
     exact = schur_sum(2000, exact=True)
     approx = schur_sum(2000, exact=False)
     assert abs(float(exact) - approx) < 1e-9 * approx
+
+
+def test_schur_float_path_peak_memory():
+    # One float copy of phi, divided and raised to the fourth power in
+    # place: the peak is _phi_sieve's own, about 21 bytes per value,
+    # where a second float array and a temporary of the power took 24.
+    t = 10**6
+    tracemalloc.start()
+    try:
+        schur_sum(t, exact=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22.5 * t
 
 
 def test_schur_growth_is_linear():
