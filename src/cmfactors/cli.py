@@ -42,7 +42,10 @@ CSV_HEADER = "p,kind,a_p,pi_a,pi_b,N,d_p,e_p"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CMIF_SEED", "0"))
+    try:
+        return int(os.environ.get("CMIF_SEED", "0"))
+    except ValueError:
+        raise SystemExit2(f"$CMIF_SEED must be an integer, got {os.environ['CMIF_SEED']!r}")
 
 
 def _usable_cores() -> int:

@@ -3,8 +3,9 @@
 Covers the scan (a streaming fold over fixed ranges of p whose mergeable
 accumulators are combined in order as the ranges complete; the records go
 to a caller's sink, never into one list), the exact divisor decomposition
-of sum d_p, the Brun-Titchmarsh prime-element counter, the Schur and
-Wintner mean-value sums and the squarefree restriction inequality.
+of sum d_p, the Brun-Titchmarsh prime-element counter (fed by the same
+sweep, with Phi and comaximality in closed form), the Schur and Wintner
+mean-value sums and the squarefree restriction inequality.
 Identity checks use exact integer or rational arithmetic; only diagnostic
 ratios go through floating point.
 
@@ -34,12 +35,11 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .cornacchia import RAMIFIED, SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve
 from .frobenius import KINDS, ORDINARY, SUPERSINGULAR, PrimeRecord, dp_ep, frobenius_by_sampling
 from .frobrules import rule_for
 from .primesieve import divisors, euler_phi, factorize, primes_array
-from .quadorder import OrderDesc, QuadInt, conj, norm, units
+from .quadorder import OrderDesc, QuadInt, conj, content, kronecker, norm, unit_orbit
 
 # Each scan job covers this many consecutive integers.
 CHUNK_SPAN = 1 << 16
@@ -59,8 +59,8 @@ SQUARES_BOUND = 1 << 24
 RULES_CHECKED_TO = 10**6
 GUARD_PRIMES = 3
 
-# bt_counter's largest x: its sieve of [2, x] peaks near 140 MB at 10^8,
-# and the memory grows linearly with x.
+# bt_counter's largest x.  Its memory depends on CHUNK_SPAN, not on x; the
+# time grows linearly with x, to about 3 s at 10^8.
 BT_BOUND = 10**8
 
 _ORD, _SS = KINDS.index(ORDINARY), KINDS.index(SUPERSINGULAR)
@@ -233,7 +233,7 @@ def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
-    """(p, a, b): cornacchia's element a + b*beta of norm p, once for each p
+    """(p, a, b): Cornacchia's element a + b*beta of norm p, once for each p
     marked in usable[p - lo] that is a norm; the marked p must be odd primes
     above 3.
 
@@ -305,7 +305,7 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> Columns:
     """The records of `primes`, the primes of one range from lo, as Columns.
 
     The range bitmap marks the primes.  p <= 3 and the bad primes, p = 2
-    among them, leave it for dp_ep.  The ordinary primes and cornacchia's
+    among them, leave it for dp_ep.  The ordinary primes and Cornacchia's
     element of each come from _split_points on what is left; the unit comes
     from the model's residue rule or else from frobenius_by_sampling,
     called in increasing p so that an AmbiguousFrobenius names the
@@ -561,36 +561,12 @@ def decomposition_check(curve: CmCurve, x: int) -> tuple[int, int, bool]:
 # --- Brun-Titchmarsh prime-element counting ---------------------------------
 
 
-def _ramified_generator(order: OrderDesc, p: int) -> QuadInt:
-    g = order.g
-    if p == 2:
-        return QuadInt(1, 1, order) if g == -1 else QuadInt(0, 1, order)
-    # Odd ramified prime is |g| for g = 1 mod 4; sqrt(g) = 2*omega - 1.
-    return QuadInt(-1, 2, order)
-
-
-def prime_elements_above(p: int, order: OrderDesc) -> list[QuadInt]:
-    """Generators (one per prime ideal over p), not expanded by units."""
-    st = splitting_type(p, order)
-    if st == SPLIT:
-        pi0 = solve_norm(p, order)
-        return [pi0, conj(pi0)]
-    if st == RAMIFIED:
-        return [_ramified_generator(order, p)]
-    return [QuadInt(p, 0, order)]
-
-
-def qi_divides(mu: QuadInt, z: QuadInt) -> bool:
-    """Whether mu divides z in the order: z * conj(mu) = 0 mod Nm(mu)."""
-    n = norm(mu)
-    if n == 0:
-        raise ValueError("division by zero element")
-    q = z * conj(mu)
-    return q.a % n == 0 and q.b % n == 0
-
-
 def phi_element(mu: QuadInt) -> int:
-    """Phi of the principal ideal (mu): the unit count of O_K / mu O_K."""
+    """Phi of the principal ideal (mu): the unit count of O_K / mu O_K.
+
+    Nm(mu) times 1 - 1/N(P) over the prime ideals P | mu: P = (p) for an
+    inert p, one P of norm p for a ramified p, and for a split p one, or
+    both if p | content(mu)."""
     if not mu.order.is_maximal():
         raise ValueError("maximal orders only")
     n = norm(mu)
@@ -598,51 +574,76 @@ def phi_element(mu: QuadInt) -> int:
         raise ValueError("Phi of the zero ideal is undefined")
     result = n
     for p, _ in factorize(n):
-        for gen in prime_elements_above(p, mu.order):
-            if qi_divides(gen, mu):
-                np_ = norm(gen)
-                result = result // np_ * (np_ - 1)
+        chi = kronecker(mu.order.delta, p)
+        q = p * p if chi == -1 else p
+        result = result // q * (q - 1)
+        if chi == 1 and content(mu) % p == 0:
+            result = result // p * (p - 1)
     return result
 
 
 def comaximal(mu: QuadInt, alpha: QuadInt) -> bool:
-    """No prime ideal divides both (mu) and (alpha)."""
-    n = norm(mu)
-    if n == 0 or norm(alpha) == 0:
+    """No prime ideal divides both (mu) and (alpha): the 2x2 minors of the
+    coordinates of mu, mu*beta, alpha and alpha*beta, which span (mu) +
+    (alpha), are coprime.  Zero norms give False."""
+    if norm(mu) == 0 or norm(alpha) == 0:
         return False
-    for p, _ in factorize(math.gcd(n, norm(alpha))):
-        for gen in prime_elements_above(p, mu.order):
-            if qi_divides(gen, mu) and qi_divides(gen, alpha):
-                return False
-    return True
+    t, n = mu.order.beta_trace, mu.order.beta_norm
+    vs = [(z.a, z.b) for z in (mu, alpha)] + [(-z.b * n, z.a + z.b * t) for z in (mu, alpha)]
+    minors = [a1 * b2 - a2 * b1 for i, (a1, b1) in enumerate(vs) for a2, b2 in vs[i + 1:]]
+    return math.gcd(*minors) == 1
 
 
 def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
     """#{prime elements pi: Nm(pi) <= x, pi = alpha (mod mu)}, for x <= BT_BOUND.
 
     Associates count separately; inert and ramified prime elements are
-    included when their norms fit.
+    included when their norms fit.  pi = alpha (mod mu) exactly when
+    pi*conj(mu) and alpha*conj(mu) agree mod Nm(mu) in both coordinates,
+    tested on int64 arrays whose products stay below about 4x.  The w unit
+    multiples of _split_points' element and of its conjugate are the split
+    prime elements over p >= 5, range by range; an inert p gives those of
+    p; a small box holds every point of norm q in {2, 3} or dividing Delta.
+    _split_points finds no point over a ramified p, so none counts twice.
     """
     if x > BT_BOUND:
         raise ValueError(f"need x <= {BT_BOUND}, got {x}")
-    order = mu.order
-    if not order.is_maximal():
+    od = mu.order
+    if not od.is_maximal():
         raise ValueError("maximal orders only")
-    if alpha.order != order:
+    if alpha.order != od:
         raise ValueError("mu and alpha must live in the same order")
-    if norm(mu) >= x:
+    n = norm(mu)
+    if n >= x:
         raise ValueError("need Nm(mu) < x")
     if not comaximal(mu, alpha):
         raise ValueError("(mu) and (alpha) must be comaximal")
-    us = units(order)
-    count = 0
-    for p in map(int, primes_array(x)):
-        for gen in prime_elements_above(p, order):
-            if norm(gen) > x:
-                continue
-            for u in us:
-                if qi_divides(mu, u * gen - alpha):
-                    count += 1
+    # alpha * conj(mu) as a QuadInt product: past 64 bits it raises OverflowError.
+    m, c = conj(mu), alpha * conj(mu)
+    ca, cb = c.a % n, c.b % n
+    t, bn = od.beta_trace, od.beta_norm
+
+    def congruent(*points) -> int:
+        # (a + b*beta) * conj(mu) against c, mod n in both coordinates.
+        return sum(int(np.count_nonzero(((a * m.a - b * m.b * bn - ca) % n == 0)
+                                        & ((a * m.b + b * (m.a + m.b * t) - cb) % n == 0)))
+                   for a, b in points)
+
+    # x >= 2, as 1 <= Nm(mu) < x, so q = 2 always fits; Nm >= 3/4 max(a^2, b^2).
+    small = [q for q in sorted({2, 3, *(q for q, _ in factorize(-od.delta))}) if q <= x]
+    r = math.isqrt(4 * small[-1]) + 1
+    a, b = np.mgrid[-r:r + 1, -r:r + 1].reshape(2, -1).astype(np.int64)
+    on = np.isin(a * a + t * a * b + bn * b * b, small)
+    count = congruent((a[on], b[on]))
+    inert = primes_array(max(math.isqrt(x), 2))
+    inert = inert[[p * p <= x and kronecker(od.delta, p) == -1 for p in inert.tolist()]]
+    count += congruent(*unit_orbit(inert, 0 * inert, od))
+    for lo in range(5, x + 1, CHUNK_SPAN):
+        hi = min(lo + CHUNK_SPAN - 1, x)
+        usable = np.zeros(hi - lo + 1, dtype=bool)
+        usable[primes_array(hi, lo=lo) - lo] = True
+        _, a, b = _split_points(od, lo, usable)
+        count += congruent(*unit_orbit(a, b, od), *unit_orbit(a + t * b, -b, od))
     return count
 
 
@@ -660,7 +661,8 @@ def _phi_sieve(t: int) -> np.ndarray:
 
     Each prime p <= sqrt(t) scales its multiples by 1 - 1/p and is divided
     out of their cofactor, an int32 copy of 0..t; what is left of n > 1 is 1
-    or the one prime factor of n above sqrt(t), applied in a single step.
+    or the one prime factor of n above sqrt(t), applied in a last step that
+    runs in slices, so that its quotient and mask stay small.
     """
     phi = np.arange(t + 1, dtype=np.int64)
     rest = np.arange(t + 1, dtype=np.int32)
@@ -671,7 +673,9 @@ def _phi_sieve(t: int) -> np.ndarray:
         while q <= t:
             rest[q::q] //= p
             q *= p
-    np.subtract(phi, phi // rest, out=phi, where=rest > 1)
+    for i in range(0, t + 1, CHUNK_SPAN):
+        ph, r = phi[i:i + CHUNK_SPAN], rest[i:i + CHUNK_SPAN]
+        np.subtract(ph, ph // r, out=ph, where=r > 1)
     return phi
 
 
@@ -738,21 +742,13 @@ class TrivlemResult(NamedTuple):
     holds: bool
 
 
-def trivlem_check(
-    g: Callable[[int], Fraction] | dict[int, Fraction],
-    k: int,
-    t: int,
-) -> TrivlemResult:
+def trivlem_check(g: Callable[[int], Fraction], k: int, t: int) -> TrivlemResult:
     """Exact check of the coprime-restriction lower bound for multiplicative g.
 
     lhs = sum over squarefree n <= t coprime to k of prod_{p|n} g(p);
     rhs = (prod_{p|k} (1 + g(p))^-1) * (same sum without the coprimality).
     Returns both sides and whether lhs >= rhs.
     """
-    if callable(g):
-        gfun = g
-    else:
-        gfun = lambda p: g.get(p, Fraction(0))
     lhs = Fraction(0)
     total = Fraction(0)
     for n in range(1, t + 1):
@@ -761,13 +757,13 @@ def trivlem_check(
             continue
         val = Fraction(1)
         for p, _ in fac:
-            val *= gfun(p)
+            val *= g(p)
         total += val
         if math.gcd(n, k) == 1:
             lhs += val
     rhs = total
     for p, _ in factorize(k):
-        rhs /= 1 + gfun(p)
+        rhs /= 1 + g(p)
     return TrivlemResult(lhs, rhs, lhs >= rhs)
 
 

@@ -549,6 +549,100 @@ def test_bt_ratio_bounded():
         assert bt_ratio(2000, mu, bt_counter(2000, mu, one)) <= 8.0
 
 
+# Brute-force references: a lattice box, divisibility as membership of the
+# lattice spanned by mu and mu*beta, and Phi and comaximality from "alpha is
+# invertible mod mu", with no Kronecker symbol and no content.
+
+
+def _box(od, x):
+    """Every a + b*beta of norm <= x, as arrays (a, b, norm).
+
+    The norm is at least 3/4 of max(a^2, b^2) in all nine maximal orders.
+    """
+    r = math.isqrt(4 * x) + 1
+    a, b = np.mgrid[-r:r + 1, -r:r + 1].reshape(2, -1)
+    nm = a * a + od.beta_trace * a * b + od.beta_norm * b * b
+    return a[nm <= x], b[nm <= x], nm[nm <= x]
+
+
+def _divides(mu, a, b):
+    """Whether mu divides each a + b*beta: whether a + b*beta = c*mu + d*mu*beta
+    for integers c, d, solved by Cramer's rule."""
+    t, n = mu.order.beta_trace, mu.order.beta_norm
+    det = mu.a * (mu.a + mu.b * t) + mu.b * mu.b * n
+    c = a * (mu.a + mu.b * t) + b * mu.b * n
+    d = mu.a * b - mu.b * a
+    return (c % det == 0) & (d % det == 0)
+
+
+def _invertible(mu, a, b):
+    """Whether (a + b*beta) * y = 1 (mod mu) for some y, for each entry of the
+    arrays a, b; y runs over [0, Nm(mu))^2, which holds every residue."""
+    t, n = mu.order.beta_trace, mu.order.beta_norm
+    ya, yb = np.mgrid[0:norm(mu), 0:norm(mu)].reshape(2, 1, -1)
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    pa = a * ya - b * yb * n
+    pb = a * yb + b * ya + b * yb * t
+    return _divides(mu, pa - 1, pb).any(axis=-1)
+
+
+def _prime_elements(od, x):
+    """The points of prime norm <= x, and those of norm p^2 <= x with no point of norm p."""
+    a, b, nm = _box(od, x)
+    primes = [p for p in range(2, x + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    inert = [p * p for p in primes if p * p <= x and p not in nm]
+    keep = np.isin(nm, primes + inert)
+    return a[keep], b[keep]
+
+
+# For each order, mu and alpha as coordinates: units, rational integers with
+# inert, ramified and split factors, and multiples with content above 1.
+_BT_MUS = [(1, 0), (0, 1), (2, 0), (3, 0), (5, 0), (6, 0), (1, 1), (2, 1), (-1, 2),
+           (2, 2), (3, 3), (4, 2)]
+_BT_ALPHAS = [(1, 0), (0, 1), (2, 1), (-3, 2), (5, -1), (7, 4)]
+
+
+@pytest.mark.parametrize("od", maximal_orders(), ids=lambda od: f"g{od.g}")
+def test_bt_counter_matches_bruteforce(od):
+    for x in (2, 3, 50, 2000):
+        pa, pb = _prime_elements(od, x)
+        for mu in (QuadInt(a, b, od) for a, b in _BT_MUS):
+            for alpha in (QuadInt(a, b, od) for a, b in _BT_ALPHAS):
+                if norm(mu) >= x or not _invertible(mu, alpha.a, alpha.b):
+                    with pytest.raises(ValueError):
+                        bt_counter(x, mu, alpha)
+                    continue
+                expected = int(_divides(mu, pa - alpha.a, pb - alpha.b).sum())
+                assert bt_counter(x, mu, alpha) == expected, (x, mu, alpha)
+
+
+@pytest.mark.parametrize("od", maximal_orders(), ids=lambda od: f"g{od.g}")
+def test_phi_element_and_comaximal_match_bruteforce(od):
+    zero = QuadInt(0, 0, od)
+    for mu in (QuadInt(a, b, od) for a, b in _BT_MUS):
+        n = norm(mu)
+        for alpha in (QuadInt(a, b, od) for a, b in _BT_ALPHAS):
+            assert comaximal(mu, alpha) == _invertible(mu, alpha.a, alpha.b), (mu, alpha)
+        assert not comaximal(mu, zero) and not comaximal(zero, mu)
+        if n <= 50:
+            # Each residue mod mu appears n times in [0, n)^2.
+            units = sum(int(_invertible(mu, a, np.arange(n)).sum()) for a in range(n))
+            assert phi_element(mu) * n == units, mu
+
+
+def test_bt_counter_memory_does_not_grow_with_x():
+    # The prime elements come range by range from the sweep, so the peak
+    # is set by CHUNK_SPAN, not by x; a sieve of [2, x] alone takes 5 MB.
+    mu, one = QuadInt(3, 0, O1), QuadInt(1, 0, O1)
+    tracemalloc.start()
+    try:
+        bt_counter(10**7, mu, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 # --- Schur and Wintner sums -----------------------------------------------------
 
 
@@ -557,6 +651,21 @@ def test_phi_sieve_matches_euler_phi():
     assert stats._phi_sieve(10**4).tolist() == phi
     for t in range(1, 50):
         assert stats._phi_sieve(t).tolist() == phi[: t + 1], t
+
+
+def test_phi_sieve_peak_memory():
+    # phi (int64), the cofactor (int32) and the quotient of phi[2::2] take
+    # about 16 bytes per value.  The last step runs in slices, so its int64
+    # quotient and bool mask add nothing to that; over the whole range they
+    # took the peak to 21.
+    t = 10**6
+    tracemalloc.start()
+    try:
+        stats._phi_sieve(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_schur_examples():
