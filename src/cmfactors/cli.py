@@ -29,7 +29,7 @@ import numpy as np
 
 from . import stats
 from .eccurve import CmCurve, custom_curve, get_curve
-from .frobenius import BAD, KINDS, AmbiguousFrobenius
+from .frobenius import BAD, KINDS, AmbiguousFrobenius, PrimeRecord
 from .oracle import ENUMERATION_BOUND, group_structure
 from .quadorder import QuadInt, order
 from .stats import RecordBlock, SumAccumulator, scan
@@ -251,17 +251,19 @@ def oracle_mismatches(curve: CmCurve, pmax: int) -> tuple[int, list]:
     """
     checked = 0
     mismatches = []
+    bad = KINDS.index(BAD)
 
     def check(block):
         nonlocal checked
-        for rec in block:
-            if rec.kind == BAD:
+        for p, kind, a_p, pi_a, pi_b, n_rec, d_p, e_p in block.rows.tolist():
+            if kind == bad:
                 continue
             checked += 1
-            d, e = group_structure(curve, rec.p)
+            d, e = group_structure(curve, p)
             n = d * e
-            if (rec.d_p, rec.e_p, rec.N, rec.a_p) != (d, e, n, rec.p + 1 - n):
-                mismatches.append((rec.p, rec, (d, e, n)))
+            if (d_p, e_p, n_rec, a_p) != (d, e, n, p + 1 - n):
+                rec = PrimeRecord(p, KINDS[kind], a_p, pi_a, pi_b, n_rec, d_p, e_p)
+                mismatches.append((p, rec, (d, e, n)))
 
     scan(curve, pmax, workers=1, records=check)
     return checked, mismatches
@@ -291,6 +293,22 @@ def cmd_identity(args) -> int:
     return 0 if equal else 1
 
 
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's limit on the digits of an int converted to str, which
+    an exact aux sum near EXACT_SUM_BOUND passes, for the body only."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.11
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _parse_pair(text: str, od) -> QuadInt:
     parts = text.split(",")
     try:
@@ -308,7 +326,8 @@ def cmd_aux(args) -> int:
             raise SystemExit2(f"--t: {e}")
         ratio = val / args.t
         if isinstance(val, Fraction):
-            print(f"sum={val} sum/t={float(ratio):.6f}")
+            with _unlimited_int_text():
+                print(f"sum={val} sum/t={float(ratio):.6f}")
         else:
             print(f"sum={val:.6f} sum/t={ratio:.6f}")
         return 0
@@ -318,7 +337,8 @@ def cmd_aux(args) -> int:
         except ValueError as e:
             raise SystemExit2(f"--z: {e}")
         if isinstance(s, Fraction):
-            print(f"sum={s}")
+            with _unlimited_int_text():
+                print(f"sum={s}")
         else:
             print(f"sum={s:.6f}")
         if args.z >= 2:

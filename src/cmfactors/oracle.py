@@ -4,12 +4,19 @@ Enumerates E(F_p) directly and computes the invariant factors (d, e) by
 exact torsion counting: d's q-adic valuation is the largest j for which
 the q^j-torsion is fully rational, measured over every point of the group.
 One counting pass over x mod p against a table of squares gives #E(F_p)
-and the roots of the cubic, which settle the first 2-torsion level.  Every
-other level evaluates the division polynomial psi_(q^j) on one lane per x
-whose rhs is a nonzero square, that is per pair {P, -P}: no inverses, no
-square roots and no group law.
+and the roots of the cubic, which settle the first 2-torsion level.  Up to
+ENUMERATION_BOUND the pass reduces rows of a per-process table of x*x and
+x^3 + Ax + B, exact in int64 and cached for one curve at a time, so no
+prime evaluates the cubic again; past it, or for a model whose cubic does
+not fit int64, it evaluates the cubic slice by slice.  Every other level
+evaluates the division polynomial psi_(q^j) on one lane per x whose rhs is
+a nonzero square, that is per pair {P, -P}: no inverses, no square roots
+and no group law.  The levels of one prime share a memo of the f_m they
+reach, so each is evaluated at most once per prime.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,9 +29,16 @@ ENUMERATION_BOUND = 10**5
 # value, (x^2 mod p + A mod p) x + B mod p, is below 2 p^2 <= 2^63.
 COUNT_BOUND = 1 << 31
 
-# The counting pass and the table of squares work on slices of this many residues,
+# The sliced pass and its table of squares work on slices of this many residues,
 # so their int64 temporaries stay bounded for large p.
 _COUNT_CHUNK = 1 << 20
+
+# The exact table of one curve (see _exact_table): its (A, B), then x*x and
+# x^3 + Ax + B for 0 <= x < len.  Its length, a power of two above p <=
+# ENUMERATION_BOUND, stays at most _TABLE_CAP.
+_TABLE_CAP = 1 << 17
+_table_model: tuple[int, int] | None = None
+_table_squares = _table_cubic = np.zeros(0, dtype=np.int64)
 
 
 def _check_p(curve: CmCurve, p: int):
@@ -58,10 +72,58 @@ def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
     return _mod(r, p)
 
 
+def _exact_table(curve: CmCurve, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """x*x and x^3 + Ax + B as exact int64 values for 0 <= x < L, L > p.
+
+    A per-process cache holds the table of one curve.  It is built on first
+    need, never at import, regrown to the next power of two L >= p + 1 when
+    p passes its end, and replaced by the table of a different curve.  None
+    for p > ENUMERATION_BOUND, or when the cubic may pass int64 below the
+    cap: L^3 + |A| L + |B| >= 2^63 at L = _TABLE_CAP.
+    """
+    global _table_model, _table_squares, _table_cubic
+    cap = _TABLE_CAP
+    if p > ENUMERATION_BOUND or cap**3 + abs(curve.A) * cap + abs(curve.B) >= 1 << 63:
+        return None
+    if (curve.A, curve.B) != _table_model or p >= len(_table_cubic):
+        x = np.arange(1 << p.bit_length(), dtype=np.int64)
+        _table_squares = x * x
+        _table_cubic = (_table_squares + curve.A) * x
+        _table_cubic += curve.B
+        _table_model = (curve.A, curve.B)
+    return _table_squares, _table_cubic
+
+
+def _mod_of(v: np.ndarray, p: int) -> np.ndarray:
+    """v mod p for an int64 array v, as a fresh array; v is left as it is."""
+    q = v // p
+    q *= p
+    return v - q
+
+
 def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """#E(F_p), #roots of x^3 + Ax + B mod p, and over the last slice of x
     mod p (every x for p <= ENUMERATION_BOUND) rhs and whether it is a
-    nonzero square."""
+    nonzero square.
+
+    Reduces the first p rows of the curve's exact table when it has one;
+    past it (p > ENUMERATION_BOUND, or a model with large coefficients)
+    evaluates the cubic slice by slice.
+    """
+    table = _exact_table(curve, p)
+    if table is None:
+        return _sliced_pass(curve, p)
+    squares, cubic = table
+    sq = np.zeros(p, dtype=bool)
+    sq[_mod_of(squares[1 : (p + 1) // 2], p)] = True
+    rhs = _mod_of(cubic[:p], p)
+    roots = p - int(np.count_nonzero(rhs))
+    square = sq[rhs]
+    return 1 + roots + 2 * int(np.count_nonzero(square)), roots, rhs, square
+
+
+def _sliced_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """_counting_pass on slices of x, for every p <= COUNT_BOUND."""
     sq = np.zeros(p, dtype=bool)  # one byte per residue
     for xs in _slices(1, (p + 1) // 2):
         sq[_mod(xs * xs, p)] = True
@@ -100,16 +162,9 @@ def enumerate_points(curve: CmCurve, p: int) -> list[Point]:
     return points
 
 
-def _division_values(n: int, x: np.ndarray, r: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
-    """f_n(x) mod p on the lanes x, for 5 <= p < 2^17 and r = x^3 + ax + b.
-
-    psi_n = f_n for odd n and 2y f_n for even n, with y^2 = r, so f_n is a
-    polynomial in x alone (Washington, Elliptic Curves, 3.2).  The f_m are
-    built in increasing m over the indices the recurrences reach from n;
-    f_1 = f_2 = 1 stay the int 1.  With p < 2^17 every product stays under
-    p^3 < 2^63.
-    """
-    assert 5 <= p < 1 << 17, p
+@functools.cache
+def _plan(n: int) -> tuple[int, ...]:
+    """The indices m >= 3 whose f_m the recurrences reach from f_n, in increasing order."""
     need, todo = set(), [n]
     while todo:
         m = todo.pop()
@@ -117,10 +172,35 @@ def _division_values(n: int, x: np.ndarray, r: np.ndarray, a: int, b: int, p: in
             k = m // 2
             todo.extend(range(k - 1, k + 3) if m & 1 else range(k - 2, k + 3))
         need.add(m)
-    x2 = _mod(x * x, p)
-    r16 = _mod(16 * r * r, p) if n > 4 else None
-    f = {1: 1, 2: 1}
-    for m in sorted(need - {1, 2}):
+    return tuple(sorted(need - {1, 2}))
+
+
+def _division_values(
+    n: int, x: np.ndarray, r: np.ndarray, a: int, b: int, p: int, memo: dict | None = None
+) -> np.ndarray:
+    """f_n(x) mod p on the lanes x, for 5 <= p < 2^17 and r = x^3 + ax + b.
+
+    psi_n = f_n for odd n and 2y f_n for even n, with y^2 = r, so f_n is a
+    polynomial in x alone (Washington, Elliptic Curves, 3.2).  The f_m are
+    built in increasing m over the indices the recurrences reach from n;
+    f_1 = f_2 = 1 stay the int 1.  With p < 2^17 every product stays under
+    p^3 < 2^63.  A memo shared by calls on the same lanes keeps every f_m
+    (and x^2 and 16 r^2 mod p, under "x2" and "r16"), so each is computed
+    once.
+    """
+    assert 5 <= p < 1 << 17, p
+    f = {} if memo is None else memo
+    if 1 not in f:
+        f[1] = f[2] = 1
+    todo = [m for m in _plan(n) if m not in f]
+    if not todo:
+        return f[n]
+    if "x2" not in f:
+        f["x2"] = _mod(x * x, p)
+    if todo[-1] > 4 and "r16" not in f:
+        f["r16"] = _mod(16 * r * r, p)
+    x2, r16 = f["x2"], f.get("r16")
+    for m in todo:
         k = m // 2
         if m == 3:  # 3x^4 + 6ax^2 + 12bx - a^2
             v = (3 * x2 + 6 * a) * x2 + 12 * b % p * x - a * a
@@ -155,10 +235,12 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     and tests [n]P = O, n = q^j, as psi_n(P) = 0 (exact for P != O and
     q != p).  Each x with rhs a nonzero square is one lane for its two
     points; the y = 0 points lie in E[2^j] and in no E[q^j] for odd q.
+    The levels share one memo of division values, so f_4 serves f_8 and
+    f_3 serves f_9.
     """
     _check_p(curve, p)
     N, roots, rhs, square = _counting_pass(curve, p)
-    d, X = 1, None
+    d, X, memo = 1, None, {}
     for q, k in factorize(N):
         for j in range(1, k // 2 + 1):
             if (p - 1) % q**j:
@@ -168,7 +250,8 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
             else:
                 if X is None:
                     X = np.flatnonzero(square)
-                f = _division_values(q**j, X, rhs[X], curve.A % p, curve.B % p, p)
+                    r = rhs[X]
+                f = _division_values(q**j, X, r, curve.A % p, curve.B % p, p, memo)
                 killed = 2 * (len(f) - int(np.count_nonzero(f))) + (roots if q == 2 else 0)
             if 1 + killed != q ** (2 * j):
                 break

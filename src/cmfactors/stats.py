@@ -661,14 +661,18 @@ def _phi_sieve(t: int) -> np.ndarray:
 
     Each prime p <= sqrt(t) scales its multiples by 1 - 1/p and is divided
     out of their cofactor, an int32 copy of 0..t; what is left of n > 1 is 1
-    or the one prime factor of n above sqrt(t), applied in a last step that
-    runs in slices, so that its quotient and mask stay small.
+    or the one prime factor of n above sqrt(t), applied in a last step.  Both
+    steps run in slices of CHUNK_SPAN, so that their quotients and mask stay
+    small beside the 12 bytes per value of phi and the cofactor.
     """
     phi = np.arange(t + 1, dtype=np.int64)
     rest = np.arange(t + 1, dtype=np.int32)
     rest[0] = 1
     for p in primes_array(math.isqrt(t)).tolist() if t >= 4 else ():
-        phi[p::p] -= phi[p::p] // p
+        multiples = phi[p::p]
+        for i in range(0, len(multiples), CHUNK_SPAN):
+            m = multiples[i:i + CHUNK_SPAN]
+            m -= m // p
         q = p
         while q <= t:
             rest[q::q] //= p

@@ -5,16 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cmfactors
 
-from cmfactors import frobenius, oracle, stats
+from cmfactors import cli, frobenius, oracle, stats
 from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, build_parser, main
+from cmfactors.eccurve import get_curve
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.frobrules import FrobeniusRule
+from cmfactors.primesieve import primes_upto
 from cmfactors.quadorder import QuadInt, order
 from cmfactors.stats import RecordBlock
 
@@ -110,6 +113,20 @@ def test_verify_checks_the_records_scan_writes(capsys, monkeypatch, corrupt):
     head, columns, *rows = stdout.splitlines()
     assert head == f"j1728-D4: {len(rows)} mismatches over 61 good primes"
     assert columns == "p,pipeline(d,e,N,a),oracle(d,e,N)" and len(rows) > 10
+    # The first row in full: the record as scan wrote it, then the oracle's.
+    first = {"supersingular-dp": "7,(1,8,8,0),(2, 4, 8)", "unit-selection": "5,(1,2,2,4),(2, 4, 8)"}
+    assert rows[0] == first[corrupt]
+
+
+def test_verify_asks_the_oracle_once_per_good_prime(monkeypatch):
+    # perfbench's oracle counters time cli.group_structure: one call per
+    # good prime, whatever the records hold.
+    calls = []
+    group_structure = cli.group_structure
+    monkeypatch.setattr(cli, "group_structure", lambda curve, p: calls.append(p) or group_structure(curve, p))
+    checked, mismatches = cli.oracle_mismatches(get_curve("D4"), 300)
+    assert (checked, mismatches) == (61, [])
+    assert calls == [p for p in primes_upto(300) if p != 2]
 
 
 # The three models without a residue rule of tools/sweep_check.py: their
@@ -137,6 +154,23 @@ def test_aux_wintner(capsys):
     code, stdout, _ = run(capsys, "aux", "wintner", "--z", "10")
     assert code == 0
     assert "16319/8820" in stdout
+
+
+@pytest.mark.parametrize("command, bound", [("wintner", 10000), ("schur", 20000)])
+def test_aux_prints_an_exact_sum_past_the_int_digit_limit(capsys, command, bound):
+    # The exact Fraction near EXACT_SUM_BOUND has more digits than Python
+    # converts to str by default; the sum is printed in full all the same.
+    flag = "--z" if command == "wintner" else "--t"
+    int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python >= 3.11
+    limit = int_digit_limit()
+    code, stdout, err = run(capsys, "aux", command, flag, str(bound))
+    assert (code, err) == (0, "")
+    assert int_digit_limit() == limit  # lifted only around the print
+    text = stdout.split()[0].removeprefix("sum=")
+    assert len(text) > 4300
+    expected = stats.wintner_sum(bound) if command == "wintner" else stats.schur_sum(bound)
+    with cli._unlimited_int_text():
+        assert Fraction(text) == expected
 
 
 def test_aux_wintner_sums_once(capsys, monkeypatch):

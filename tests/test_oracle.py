@@ -1,12 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from cmfactors import oracle
-from cmfactors.eccurve import CmCurve, _scalar_mul, model_bad_primes, scalar_mul
+from cmfactors.eccurve import CmCurve, _scalar_mul, get_curve, model_bad_primes, scalar_mul
 from cmfactors.frobenius import dp_ep
 from cmfactors.oracle import (
     COUNT_BOUND,
@@ -313,17 +316,25 @@ def test_rhs_exact_up_to_count_bound(all_curves):
         assert got == [curve.rhs(x, p) for x in xs], curve.label
 
 
-def test_oracle_on_curves_without_cm(curve_d4):
-    # psi_n is generic, so the oracle must hold on any nonsingular model; it
-    # reads only A, B and the bad primes (D4's order is a placeholder).
+def _curves_without_cm(curve_d4):
+    """Ten random nonsingular models with small coefficients; the oracle reads
+    only A, B and the bad primes (D4's order is a placeholder)."""
     rng = random.Random(20261018)
-    seen = [0, 0]
+    curves = []
     for i in range(10):
         while True:
             A, B = rng.randint(-60, 60), rng.randint(-60, 60)
             if 4 * A**3 + 27 * B**2:
                 break
-        curve = CmCurve(f"random-{i}", A, B, curve_d4.order, model_bad_primes(A, B))
+        curves.append(CmCurve(f"random-{i}", A, B, curve_d4.order, model_bad_primes(A, B)))
+    return curves
+
+
+def test_oracle_on_curves_without_cm(curve_d4):
+    # psi_n is generic, so the oracle must hold on any nonsingular model.
+    seen = [0, 0]
+    for curve in _curves_without_cm(curve_d4):
+        A, B = curve.A, curve.B
         for p in primes_upto(300):
             if p in curve.bad_primes:
                 continue
@@ -331,3 +342,92 @@ def test_oracle_on_curves_without_cm(curve_d4):
             e = max(element_orders(curve, p))
             assert group_structure(curve, p) == (count_points(curve, p) // e, e), (A, B, p)
     assert min(seen) > 0, seen
+
+
+def test_table_pass_matches_sliced_pass(all_curves, curve_d4, monkeypatch):
+    # The rows of the cached exact table, reduced mod p, against the cubic
+    # evaluated slice by slice, which every p past the table still takes.
+    primes = primes_upto(2 * 10**4) + primes_upto(ENUMERATION_BOUND)[-3:]
+    for curve in list(all_curves) + _curves_without_cm(curve_d4):
+        for p in primes:
+            if p in curve.bad_primes:
+                continue
+            n, roots, rhs, square = _counting_pass(curve, p)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_exact_table", lambda curve, p: None)
+                s_n, s_roots, s_rhs, s_square = _counting_pass(curve, p)
+            assert (n, roots) == (s_n, s_roots), (curve.label, p)
+            assert np.array_equal(rhs, s_rhs) and np.array_equal(square, s_square), (curve.label, p)
+            assert rhs.dtype == s_rhs.dtype and square.dtype == s_square.dtype, (curve.label, p)
+
+
+def test_exact_table_is_built_lazily_and_held_for_one_curve(all_curves):
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    code = ("import cmfactors, cmfactors.cli; from cmfactors import oracle; "
+            "print(oracle._table_model, len(oracle._table_squares), len(oracle._table_cubic))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "None 0 0\n"
+    first, second = all_curves[0], all_curves[-1]
+    for curve, p in ((first, 101), (second, 5), (second, 1009), (second, 97)):
+        group_structure(curve, p)
+    # One table, the second curve's, grown to 1024 > 1009 and not shrunk.
+    assert oracle._table_model == (second.A, second.B)
+    assert len(oracle._table_squares) == len(oracle._table_cubic) == 1024
+    group_structure(second, primes_upto(ENUMERATION_BOUND)[-1])
+    L = len(oracle._table_cubic)
+    assert L == 1 << 17 and L & (L - 1) == 0
+    # count_points past the enumeration bound keeps the sliced pass.
+    assert oracle._exact_table(second, 100003) is None and factorize(100003) == [(100003, 1)]
+    x = random.Random(20261018).sample(range(L), 500)
+    assert oracle._table_squares[x].tolist() == [v * v for v in x]
+    assert oracle._table_cubic[x].tolist() == [v**3 + second.A * v + second.B for v in x]
+
+
+def test_large_model_takes_the_sliced_pass(monkeypatch):
+    # At L = 2^17, A x reaches 2^64 > 2^63: no exact int64 table for this model.
+    A = 2**47
+    curve = CmCurve("large", A, 0, get_curve("D4").order, model_bad_primes(A, 0))
+    assert 2**51 + A * 2**17 >= 2**63 and curve.bad_primes == {2}
+    assert oracle._exact_table(curve, 5) is None
+    sliced, passes = oracle._sliced_pass, []
+    monkeypatch.setattr(oracle, "_sliced_pass", lambda curve, p: passes.append(p) or sliced(curve, p))
+    primes = [p for p in primes_upto(400) if p != 2]
+    for p in primes:
+        n, roots, rhs, square = _counting_pass(curve, p)
+        pts = enumerate_points(curve, p)
+        assert n == len(pts) and roots == sum(1 for P in pts if P and P[1] == 0), p
+        assert rhs.tolist() == [curve.rhs(x, p) for x in range(p)], p
+        e = max(element_orders(curve, p))
+        assert group_structure(curve, p) == (n // e, e), p
+    assert passes == [p for p in primes for _ in range(2)]
+
+
+def test_levels_share_one_memo_of_division_values(curve_d4, monkeypatch):
+    # At a prime where group_structure tests the 2-adic levels 4 and then
+    # 8, the level-8 call finds f_4 in the memo and does not compute it again.
+    calls = []
+    division_values = oracle._division_values
+
+    def spy(n, x, r, a, b, p, memo=None):
+        before = dict(memo)
+        f = division_values(n, x, r, a, b, p, memo)
+        calls.append((p, n, memo, before))
+        return f
+
+    monkeypatch.setattr(oracle, "_division_values", spy)
+    p = next(p for p in primes_upto(2000) if p % 8 == 1 and group_structure(curve_d4, p)[0] % 8 == 0)
+    calls.clear()
+    group_structure(curve_d4, p)
+    (p4, n4, memo4, before4), (p8, n8, memo8, before8) = calls[:2]
+    assert (p4, n4, p8, n8) == (p, 4, p, 8) and memo4 is memo8
+    assert 4 not in before4 and before8[4] is memo8[4]
+    assert 8 in memo8
+    # A memo shared in any order of n gives the values of fresh calls.
+    _, _, rhs, square = _counting_pass(curve_d4, p)
+    X = np.flatnonzero(square)
+    a, b = curve_d4.A % p, curve_d4.B % p
+    memo = {}
+    for n in random.Random(20261018).sample(range(1, 40), 39):
+        shared = division_values(n, X, rhs[X], a, b, p, memo)
+        assert np.array_equal(shared, division_values(n, X, rhs[X], a, b, p)), n

@@ -654,10 +654,10 @@ def test_phi_sieve_matches_euler_phi():
 
 
 def test_phi_sieve_peak_memory():
-    # phi (int64), the cofactor (int32) and the quotient of phi[2::2] take
-    # about 16 bytes per value.  The last step runs in slices, so its int64
-    # quotient and bool mask add nothing to that; over the whole range they
-    # took the peak to 21.
+    # phi (int64) and the cofactor (int32) take 12 bytes per value.  Every
+    # step on phi runs in slices, so its int64 quotients and bool mask add
+    # next to nothing; the quotient of phi[2::2] over the whole range took
+    # the peak to 16 MiB, and the last step's quotient and mask to 21.
     t = 10**6
     tracemalloc.start()
     try:
@@ -665,7 +665,7 @@ def test_phi_sieve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 13 * 2**20
 
 
 def test_schur_examples():
