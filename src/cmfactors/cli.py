@@ -32,7 +32,7 @@ from .eccurve import CmCurve, custom_curve, get_curve
 from .frobenius import BAD, KINDS, AmbiguousFrobenius, PrimeRecord
 from .oracle import ENUMERATION_BOUND, group_structure
 from .quadorder import QuadInt, order
-from .stats import RecordBlock, SumAccumulator, scan
+from .stats import SumAccumulator, scan
 
 # perfbench/tracing.py times these by rebinding them in this module.
 from .frobenius import dp_ep  # noqa: F401
@@ -103,8 +103,8 @@ _KIND_BYTES = np.array([list(k.ljust(_KIND_WIDTH).encode()) for k in KINDS], dty
 _KIND_KEEP = np.array([[i < len(k) for i in range(_KIND_WIDTH)] for k in KINDS])
 
 
-def _block_bytes(block: RecordBlock) -> bytes:
-    """The CSV rows of a scan's RecordBlock, as _record_line writes them.
+def _block_bytes(rows: np.ndarray) -> bytes:
+    """The CSV lines of a scan's (n, 8) int64 record rows, as _record_line writes them.
 
     Every value must satisfy |v| < 2^62.  The rows are laid out as one
     (n, width) uint8 matrix: per column an optional sign slot, the decimal
@@ -118,7 +118,6 @@ def _block_bytes(block: RecordBlock) -> bytes:
     broadcast division by a column of powers of ten, and in uint32 when
     the column fits.
     """
-    rows = block.rows
     n = len(rows)
     layout = []
     for j, col in enumerate(rows.T):
@@ -208,8 +207,8 @@ def cmd_scan(args) -> int:
     curve = _resolve_curve(args)
     if not 2 <= args.xmax < stats.X_MAX_LIMIT:
         raise SystemExit2("--xmax must lie in [2, 2^50)")
-    if args.workers < 1:
-        raise SystemExit2("--workers must be at least 1")
+    if not 1 <= args.workers <= stats.MAX_WORKERS:
+        raise SystemExit2(f"--workers must lie in [1, {stats.MAX_WORKERS}]")
     try:
         checkpoints = [int(t) for t in args.checkpoints.split(",")] if args.checkpoints else []
     except ValueError:
@@ -253,9 +252,9 @@ def oracle_mismatches(curve: CmCurve, pmax: int) -> tuple[int, list]:
     mismatches = []
     bad = KINDS.index(BAD)
 
-    def check(block):
+    def check(rows):
         nonlocal checked
-        for p, kind, a_p, pi_a, pi_b, n_rec, d_p, e_p in block.rows.tolist():
+        for p, kind, a_p, pi_a, pi_b, n_rec, d_p, e_p in rows.tolist():
             if kind == bad:
                 continue
             checked += 1
@@ -318,62 +317,66 @@ def _parse_pair(text: str, od) -> QuadInt:
     return QuadInt(a, b, od)
 
 
-def cmd_aux(args) -> int:
-    if args.aux_command == "schur":
-        try:
-            val = stats.schur_sum(args.t)
-        except ValueError as e:
-            raise SystemExit2(f"--t: {e}")
-        ratio = val / args.t
-        if isinstance(val, Fraction):
-            with _unlimited_int_text():
-                print(f"sum={val} sum/t={float(ratio):.6f}")
-        else:
-            print(f"sum={val:.6f} sum/t={ratio:.6f}")
-        return 0
-    if args.aux_command == "wintner":
-        try:
-            s = stats.wintner_sum(args.z)
-        except ValueError as e:
-            raise SystemExit2(f"--z: {e}")
-        if isinstance(s, Fraction):
-            with _unlimited_int_text():
-                print(f"sum={s}")
-        else:
-            print(f"sum={s:.6f}")
-        if args.z >= 2:
-            # The sum has a mean value, so sum / log z stabilizes.
-            print(f"slope={float(s) / math.log(args.z):.6f}")
-        return 0
-    if args.aux_command == "bt":
-        try:
-            od = order(args.g, 1)
-        except ValueError as e:
-            raise SystemExit2(f"--g: {e}")
-        mu = _parse_pair(args.mu, od)
-        alpha = _parse_pair(args.alpha, od)
-        try:
-            count = stats.bt_counter(args.x, mu, alpha)
-        except (ValueError, OverflowError) as e:
-            raise SystemExit2(str(e))
-        print(f"count={count} ratio={stats.bt_ratio(args.x, mu, count):.6f}")
-        return 0
-    if args.aux_command == "trivlem":
-        if args.trials < 1:
-            raise SystemExit2("--trials must be at least 1")
-        rng = random.Random(args.seed if args.seed is not None else _default_seed())
-        failures = 0
-        for _ in range(args.trials):
-            primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-            gmap = {p: Fraction(rng.randint(0, 8), 4) for p in primes}
-            k = rng.randint(1, 100)
-            t = rng.randint(1, 1000)
-            res = stats.trivlem_check(lambda p: gmap.get(p, Fraction(1, 2)), k, t)
-            if not res.holds:
-                failures += 1
-        print(f"{args.trials - failures}/{args.trials} hold")
-        return 0 if failures == 0 else 1
-    raise SystemExit2("unknown aux subcommand")
+def cmd_schur(args) -> int:
+    try:
+        val = stats.schur_sum(args.t)
+    except ValueError as e:
+        raise SystemExit2(f"--t: {e}")
+    ratio = val / args.t
+    if isinstance(val, Fraction):
+        with _unlimited_int_text():
+            print(f"sum={val} sum/t={float(ratio):.6f}")
+    else:
+        print(f"sum={val:.6f} sum/t={ratio:.6f}")
+    return 0
+
+
+def cmd_wintner(args) -> int:
+    try:
+        s = stats.wintner_sum(args.z)
+    except ValueError as e:
+        raise SystemExit2(f"--z: {e}")
+    if isinstance(s, Fraction):
+        with _unlimited_int_text():
+            print(f"sum={s}")
+    else:
+        print(f"sum={s:.6f}")
+    if args.z >= 2:
+        # The sum has a mean value, so sum / log z stabilizes.
+        print(f"slope={float(s) / math.log(args.z):.6f}")
+    return 0
+
+
+def cmd_bt(args) -> int:
+    try:
+        od = order(args.g, 1)
+    except ValueError as e:
+        raise SystemExit2(f"--g: {e}")
+    mu = _parse_pair(args.mu, od)
+    alpha = _parse_pair(args.alpha, od)
+    try:
+        count = stats.bt_counter(args.x, mu, alpha)
+    except (ValueError, OverflowError) as e:
+        raise SystemExit2(str(e))
+    print(f"count={count} ratio={stats.bt_ratio(args.x, mu, count):.6f}")
+    return 0
+
+
+def cmd_trivlem(args) -> int:
+    if args.trials < 1:
+        raise SystemExit2("--trials must be at least 1")
+    rng = random.Random(args.seed if args.seed is not None else _default_seed())
+    failures = 0
+    for _ in range(args.trials):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        gmap = {p: Fraction(rng.randint(0, 8), 4) for p in primes}
+        k = rng.randint(1, 100)
+        t = rng.randint(1, 1000)
+        res = stats.trivlem_check(lambda p: gmap.get(p, Fraction(1, 2)), k, t)
+        if not res.holds:
+            failures += 1
+    print(f"{args.trials - failures}/{args.trials} hold")
+    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="defaults to $CMIF_SEED or 0")
     sp.add_argument("--checkpoints", default="", help="comma-separated snapshot bounds")
     sp.add_argument("--out", default=None, help="records CSV path (summary goes to PATH.summary.json)")
-    sp.add_argument("--workers", type=int, default=_usable_cores(),
+    sp.add_argument("--workers", type=int, default=min(_usable_cores(), stats.MAX_WORKERS),
                     help="processes that sweep, this one included (default: usable cores)")
     sp.set_defaults(func=cmd_scan)
 
@@ -412,23 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = aux.add_parser("schur", help="sum of (m/phi(m))^4 up to t")
     s.add_argument("--t", type=int, required=True)
-    s.set_defaults(func=cmd_aux)
+    s.set_defaults(func=cmd_schur)
 
     s = aux.add_parser("wintner", help="squarefree phi(d)/d^2 partial sum and slope")
     s.add_argument("--z", type=int, required=True, dest="z")
-    s.set_defaults(func=cmd_aux)
+    s.set_defaults(func=cmd_wintner)
 
     s = aux.add_parser("bt", help="prime-element congruence count")
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--mu", required=True, help="a,b coordinates of the modulus")
     s.add_argument("--alpha", required=True, help="a,b coordinates of the residue")
     s.add_argument("--g", type=int, default=-1, help="field parameter (default -1)")
-    s.set_defaults(func=cmd_aux)
+    s.set_defaults(func=cmd_bt)
 
     s = aux.add_parser("trivlem", help="randomized squarefree-restriction inequality suite")
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(func=cmd_aux)
+    s.set_defaults(func=cmd_trivlem)
 
     return parser
 

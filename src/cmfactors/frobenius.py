@@ -2,11 +2,12 @@
 
 For a good ordinary prime, the Frobenius element pi_p has norm p; the group
 order is Nm(pi_p - 1) and the first invariant factor is the content of
-pi_p - 1.  Cornacchia only pins pi_p down to a unit multiple.  For the
-table's models a residue rule (see frobrules) picks the unit; for any other
-model the candidates' orders and exponents are tested against random
-points, each prime seeding its own generator, so values never depend on a
-seed.  Supersingular primes need no group work at all: #E(F_p) = p + 1 and
+pi_p - 1.  Cornacchia only pins pi_p down to a unit multiple, which
+select_units alone picks: by a residue rule (see frobrules) for the table's
+models, checked by sampling when guarded, and for any other model by
+testing the candidates' orders and exponents against random points, each
+prime seeding its own generator, so values never depend on a seed.
+Supersingular primes need no group work at all: #E(F_p) = p + 1 and
 d_p = 2 exactly when the 2-torsion is rational, which one Legendre symbol
 of the discriminant of x^3 + Ax + B decides (eccurve.cubic_splits).
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cornacchia import SPLIT, solve_norm, splitting_type
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
@@ -33,6 +36,12 @@ SMALL = "small"
 KINDS = (BAD, ORDINARY, SUPERSINGULAR, SMALL)
 
 MAX_SAMPLE_POINTS = 32
+
+# tools/frobenius_rules.py checks the packaged rules up to this bound; a
+# guarded select_units re-derives its GUARD_PRIMES largest picks by point
+# sampling, which needs no rule.
+RULES_CHECKED_TO = 10**6
+GUARD_PRIMES = 3
 
 
 class AmbiguousFrobenius(RuntimeError):
@@ -71,24 +80,48 @@ def classify(p: int, curve: CmCurve) -> str:
     return SUPERSINGULAR
 
 
+def select_units(curve: CmCurve, p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 guard: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The Frobenius unit multiples of a + b*beta, norm p, as int64 arrays in input order.
+
+    The packaged residue rule of the curve's model picks the units at once.
+    A model without a rule hands each element, as pi0, to
+    frobenius_by_sampling in increasing p, so that an AmbiguousFrobenius
+    names the smallest such p.  With guard, a rule's picks at the
+    GUARD_PRIMES largest p are re-derived by sampling, which solves its own
+    norm equation and needs no rule; a disagreement raises ArithmeticError.
+    """
+    rule = rule_for(curve)
+    if rule is not None:
+        a, b = rule.select_arrays(p, a, b)
+        if guard:
+            for i in np.argsort(p)[-GUARD_PRIMES:].tolist():
+                pi, _ = frobenius_by_sampling(int(p[i]), curve)
+                if (pi.a, pi.b) != (int(a[i]), int(b[i])):
+                    raise ArithmeticError(f"the Frobenius rule of {curve.label} disagrees "
+                                          f"with point sampling at p={int(p[i])}")
+        return a, b
+    od = curve.order
+    a, b = a.copy(), b.copy()
+    for i in np.argsort(p).tolist():
+        pi, _ = frobenius_by_sampling(int(p[i]), curve, pi0=QuadInt(int(a[i]), int(b[i]), od))
+        a[i], b[i] = pi.a, pi.b
+    return a, b
+
+
 def frobenius_at(p: int, curve: CmCurve, pi0: QuadInt | None = None) -> tuple[QuadInt, int]:
     """The Frobenius element (up to conjugation) and N = #E(F_p).
 
-    The packaged residue rule of the curve's model picks the unit multiple
-    of Cornacchia's pi0 (solve_norm's element, computed here unless the
-    caller has it); a model without a rule hands pi0 to frobenius_by_sampling.
+    select_units picks the unit multiple of Cornacchia's pi0 (solve_norm's
+    element, computed here unless the caller has it).
     """
     od = curve.order
     if pi0 is None:
         pi0 = solve_norm(p, od)
     if pi0 is None:
         raise ValueError(f"p={p} is not ordinary for {curve.label}")
-    rule = rule_for(curve)
-    if rule is None:
-        return frobenius_by_sampling(p, curve, pi0=pi0)
-    a, b = rule.select(p, pi0.a, pi0.b)
-    pi = pi0 if (a, b) == (pi0.a, pi0.b) else QuadInt(a, b, od)
-    return pi, p + 1 - 2 * a - b * od.beta_trace
+    a, b = (int(v[0]) for v in select_units(curve, *np.array([[p], [pi0.a], [pi0.b]], np.int64)))
+    return QuadInt(a, b, od), p + 1 - 2 * a - b * od.beta_trace
 
 
 def frobenius_by_sampling(p: int, curve: CmCurve, pi0=None) -> tuple[QuadInt, int]:

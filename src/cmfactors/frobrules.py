@@ -16,6 +16,7 @@ The packaged rules in data/frobenius.txt are keyed by the model
 (A, B, g, f): a twist that reuses a label, or any other model, has no
 rule.  They are data learned from the point-sampling path, which stays the
 exact slow path; the test suite checks them against it and the oracle.
+frobenius.select_units reads a rule's tables, which are built when it is made.
 """
 from __future__ import annotations
 
@@ -39,13 +40,13 @@ Model = tuple[int, int, int, int]
 
 
 class FrobeniusRule:
-    """The allowed Frobenius residues of one model, with a key -> unit table.
+    """The allowed Frobenius residues of one model, with flat key -> unit tables.
 
     Raises ValueError if a unit orbit meets the allowed set more than once,
     since the rule would then not pick a unique unit.
     """
 
-    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_unit_for", "_tables")
+    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_known", "_units")
 
     def __init__(self, model: Model, kind: str, modulus: int, residues):
         _, _, g, f = model
@@ -62,30 +63,34 @@ class FrobeniusRule:
         self.residues = frozenset(residues)
         self._order = od
         self._chi = (
-            [0] + [1 if pow(x, (modulus - 1) // 2, modulus) == 1 else -1 for x in range(1, modulus)]
+            np.array([0] + [1 if pow(x, (modulus - 1) // 2, modulus) == 1 else -1
+                            for x in range(1, modulus)], dtype=np.int64)
             if kind == TRACE
             else None
         )
-        # Each class c = u*r in the orbit of an allowed residue r maps to
-        # u^-1 = conj(u) (units have norm 1), in the order's coordinates.
+        # Each class c = u*r in the orbit of an allowed residue r maps to u^-1 =
+        # conj(u) (units have norm 1), in the order's coordinates, at _index(c).
         unit_for: dict[tuple[int, int], tuple[int, int]] = {}
         for r in self.residues:
             for (ua, ub), c in zip(unit_orbit(1, 0, od), self.orbit(r)):
                 inv = (ua + ub * od.beta_trace, -ub)
                 if unit_for.setdefault(c, inv) != inv:
                     raise ValueError(f"residues {sorted(self.residues)} meet a unit orbit twice")
-        self._unit_for = unit_for
-        self._tables = None
+        at = [self._index(c) for c in unit_for]
+        self._known = np.zeros(3 * TRACE_P_MODULUS if kind == TRACE else modulus**2, dtype=bool)
+        self._known[at] = True
+        self._units = np.zeros((2, len(self._known)), dtype=np.int64)
+        self._units[:, at] = np.array(list(unit_for.values()), dtype=np.int64).reshape(-1, 2).T
 
     def key(self, p: int, a: int, b: int) -> tuple[int, int]:
         """The residue key of pi = a + b*beta (coordinates in the model's order)."""
         od = self._order
         if self.kind == TRACE:
-            return (self._chi[(2 * a + b * od.beta_trace) % self.modulus], p % TRACE_P_MODULUS)
+            return (int(self._chi[(2 * a + b * od.beta_trace) % self.modulus]), p % TRACE_P_MODULUS)
         return (a % self.modulus, od.f * b % self.modulus)
 
     def _index(self, key):
-        """Position of a key (or of arrays of key parts) in the flat tables of select_arrays."""
+        """Position of a key (or of arrays of key parts) in the flat tables."""
         if self.kind == TRACE:
             return (key[0] + 1) * TRACE_P_MODULUS + key[1]
         return key[0] * self.modulus + key[1]
@@ -124,48 +129,26 @@ class FrobeniusRule:
         """The unit orbits of classes(); a complete rule meets each exactly once."""
         return {frozenset(self.orbit(c)) for c in self.classes()}
 
-    def select(self, p: int, a: int, b: int) -> tuple[int, int]:
-        """The unit multiple of pi0 = a + b*beta whose key is allowed."""
-        key = self.key(p, a, b)
-        u = self._unit_for.get(key)
-        if u is None:
-            raise ValueError(f"no allowed residue in the unit orbit of key {key} at p={p}")
-        ua, ub = u
-        if ub == 0:
-            return (ua * a, ua * b)
-        od = self._order
-        bb = ub * b
-        return (ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace)
-
-
     def select_arrays(self, p: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """select over int64 arrays: the allowed unit multiples of a + b*beta, as arrays.
+        """The allowed unit multiples of a + b*beta over int64 arrays, as arrays.
 
-        The key -> unit table becomes flat arrays on first use; each element
-        is then one lookup and one product with its unit.
+        Each element is one lookup in the flat tables and one product with
+        its unit.  Raises ValueError at the first element whose unit orbit
+        has no allowed residue.
         """
-        if self._tables is None:
-            size = 3 * TRACE_P_MODULUS if self.kind == TRACE else self.modulus**2
-            known = np.zeros(size, dtype=bool)
-            ua, ub = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-            for key, (x, y) in self._unit_for.items():
-                i = self._index(key)
-                known[i], ua[i], ub[i] = True, x, y
-            chi = np.array(self._chi if self.kind == TRACE else [0], dtype=np.int64)
-            self._tables = (known, ua, ub, chi)
-        known, ua, ub, chi = self._tables
         od, M = self._order, self.modulus
         if self.kind == TRACE:
-            idx = self._index((chi[(2 * a + b * od.beta_trace) % M], p % TRACE_P_MODULUS))
+            idx = self._index((self._chi[(2 * a + b * od.beta_trace) % M], p % TRACE_P_MODULUS))
         else:
             idx = self._index((a % M, od.f * b % M))
-        if not known[idx].all():
-            bad = int(np.flatnonzero(~known[idx])[0])
+        known = self._known[idx]
+        if not known.all():
+            bad = int(np.flatnonzero(~known)[0])
             key = self.key(int(p[bad]), int(a[bad]), int(b[bad]))
             raise ValueError(
                 f"no allowed residue in the unit orbit of key {key} at p={int(p[bad])}"
             )
-        ua, ub = ua[idx], ub[idx]
+        ua, ub = self._units.take(idx, axis=1)
         bb = ub * b
         return ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace
 

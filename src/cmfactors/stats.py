@@ -16,13 +16,13 @@ children sends its results over its own pipe, so the backlog is bounded.
 Every range is swept as arrays into Columns, its records in three parts:
 p <= 3 and the bad primes, p = 2 among them, through dp_ep; the ordinary
 primes, from the lattice points of prime norm with Cornacchia's element,
-whose unit a residue rule (frobrules) or, for a model without one, point
-sampling picks; and the supersingular primes, the rest of the range's
-bitmap, whose d_p comes from residue tables.  The sweep builds one point
-per split p, in the sector where Cornacchia's element lies, and of those
-only the points whose parity classes (a mod 2, b mod 2) give an odd norm.
-A range's accumulator is summed straight from its columns; its (n, 8)
-RecordBlock rows are built only when the caller keeps the records.
+whose unit frobenius.select_units picks; and the supersingular primes, the
+rest of the range's bitmap, whose d_p comes from residue tables.  The sweep
+builds one point per split p, in the sector where Cornacchia's element
+lies, and of those only the points whose parity classes (a mod 2, b mod 2)
+give an odd norm.  A range's accumulator is summed straight from its
+columns; its (n, 8) int64 record rows are built only when the caller keeps
+the records.
 """
 from __future__ import annotations
 
@@ -36,8 +36,9 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .eccurve import CmCurve
-from .frobenius import KINDS, ORDINARY, SUPERSINGULAR, PrimeRecord, dp_ep, frobenius_by_sampling
-from .frobrules import rule_for
+from .frobenius import (
+    KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
+)
 from .primesieve import divisors, euler_phi, factorize, primes_array
 from .quadorder import OrderDesc, QuadInt, conj, content, kronecker, norm, unit_orbit
 
@@ -53,11 +54,8 @@ X_MAX_LIMIT = 1 << 50
 # scan refuses a model whose discriminant has an odd power of a larger prime.
 SQUARES_BOUND = 1 << 24
 
-# tools/frobenius_rules.py checks the packaged rules up to this bound; a
-# scan beyond it re-derives its GUARD_PRIMES largest ordinary primes by
-# point sampling, which needs no rule.
-RULES_CHECKED_TO = 10**6
-GUARD_PRIMES = 3
+# scan runs one process per worker; it refuses more than this many.
+MAX_WORKERS = 256
 
 # bt_counter's largest x.  Its memory depends on CHUNK_SPAN, not on x; the
 # time grows linearly with x, to about 3 s at 10^8.
@@ -142,21 +140,6 @@ def merge(a: SumAccumulator, b: SumAccumulator) -> SumAccumulator:
         hist_dp=hist,
         checkpoints=a.checkpoints + shifted,
     )
-
-
-@dataclass(frozen=True)
-class RecordBlock:
-    """The records of one range as an (n, 8) int64 array, in increasing p.
-
-    Columns follow PrimeRecord's fields, with the kind as its index in
-    frobenius.KINDS.  Iterating yields the PrimeRecords.
-    """
-
-    rows: np.ndarray
-
-    def __iter__(self):
-        for p, k, *rest in self.rows.tolist():
-            yield PrimeRecord(p, KINDS[k], *rest)
 
 
 @functools.cache
@@ -301,16 +284,15 @@ class Columns(NamedTuple):
     supersingular: tuple[np.ndarray, ...]
 
 
-def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> Columns:
+def _sweep(curve: CmCurve, lo: int, primes: np.ndarray, guard: bool) -> Columns:
     """The records of `primes`, the primes of one range from lo, as Columns.
 
     The range bitmap marks the primes.  p <= 3 and the bad primes, p = 2
     among them, leave it for dp_ep.  The ordinary primes and Cornacchia's
-    element of each come from _split_points on what is left; the unit comes
-    from the model's residue rule or else from frobenius_by_sampling,
-    called in increasing p so that an AmbiguousFrobenius names the
-    smallest such p.  Once the ordinary primes are cleared, the bitmap
-    holds the supersingular ones, in increasing p.
+    element of each come from _split_points on what is left, and
+    select_units, guarded if guard, picks each one's unit.  Once the
+    ordinary primes are cleared, the bitmap holds the supersingular ones,
+    in increasing p.
     """
     hi = int(primes[-1]) if len(primes) else lo
     usable = np.zeros(hi - lo + 1, dtype=bool)
@@ -323,15 +305,7 @@ def _sweep(curve: CmCurve, lo: int, primes: np.ndarray) -> Columns:
         usable[q - lo] = False
     od = curve.order
     p, a, b = _split_points(od, lo, usable)
-    rule = rule_for(curve)
-    if rule is not None:
-        a, b = rule.select_arrays(p, a, b)
-    else:
-        by_p = np.argsort(p)
-        p, a, b = p[by_p], a[by_p], b[by_p]
-        pis = [frobenius_by_sampling(q, curve, pi0=QuadInt(x, y, od))[0]
-               for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())]
-        a, b = np.array([(pi.a, pi.b) for pi in pis], dtype=np.int64).reshape(-1, 2).T
+    a, b = select_units(curve, p, a, b, guard)
     usable[p - lo] = False
     trace = 2 * a + b * od.beta_trace
     count, d = p + 1 - trace, np.gcd(a - 1, b)
@@ -370,8 +344,9 @@ def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator
     return acc
 
 
-def _record_block(cols: Columns, lo: int, primes: np.ndarray) -> RecordBlock:
-    """The RecordBlock of the primes of one range from lo, from their Columns."""
+def _record_block(cols: Columns, lo: int, primes: np.ndarray) -> np.ndarray:
+    """The (n, 8) int64 record rows of the primes of one range from lo, in increasing p:
+    PrimeRecord's fields, the kind as its index in KINDS, from the Columns."""
     rows = np.zeros((len(primes), 8), dtype=np.int64)
     rows[:, 0] = primes
     # Row of each prime by its offset from lo, in place of a search of the unsorted p.
@@ -384,46 +359,24 @@ def _record_block(cols: Columns, lo: int, primes: np.ndarray) -> RecordBlock:
         at = row[p - lo]
         rows[at, 1] = kind
         rows[at, 8 - len(values):] = np.column_stack(values)
-    return RecordBlock(rows)
+    return rows
 
 
 def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], keep: bool,
-                render: Callable[[RecordBlock], object] | None = None, guard: bool = False):
+                render: Callable[[np.ndarray], object] | None = None, guard: bool = False):
     """The accumulator over the primes in [lo, hi] and, if keep, their
-    RecordBlock, or render(block) if render is given; else None.
+    record rows, or render(rows) if render is given; else None.
 
     The accumulator comes straight from the sweep's Columns, and the
-    block's (n, 8) rows are built only if keep.  With guard, the top
-    ordinary primes are first checked by _check_rule_at_top.
+    (n, 8) rows are built only if keep.  guard is passed to select_units.
     """
     primes = primes_array(hi, lo=lo)
-    cols = _sweep(curve, lo, primes)
-    if guard:
-        _check_rule_at_top(curve, cols.ordinary)
+    cols = _sweep(curve, lo, primes, guard)
     acc = _accumulator(cols, lo, hi, checkpoints)
     if not keep:
         return acc, None
-    block = _record_block(cols, lo, primes)
-    return acc, block if render is None else render(block)
-
-
-def _check_rule_at_top(curve: CmCurve, ordinary: tuple[np.ndarray, ...]) -> None:
-    """Re-derive the largest ordinary records of a range by point sampling.
-
-    The rules are data checked only up to RULES_CHECKED_TO; sampling needs
-    no rule, so agreement at the top of a longer scan is evidence that the
-    rule still holds there.  Sampling solves its own norm equation, so the
-    check does not rest on the sweep's lattice points.  Raises
-    ArithmeticError on a mismatch.
-    """
-    p, _, a, b, n, _, _ = ordinary
-    top = np.argsort(p)[-GUARD_PRIMES:]
-    for q, x, y, m in zip(*(col[top].tolist() for col in (p, a, b, n))):
-        pi, n_ref = frobenius_by_sampling(q, curve)
-        if (pi.a, pi.b, n_ref) != (x, y, m):
-            raise ArithmeticError(
-                f"the Frobenius rule of {curve.label} disagrees with point sampling at p={q}"
-            )
+    rows = _record_block(cols, lo, primes)
+    return acc, rows if render is None else render(rows)
 
 
 def _sweep_jobs(conn, jobs) -> None:
@@ -448,7 +401,7 @@ def scan(
     checkpoints: Iterable[int] = (),
     workers: int = 1,
     records: Callable[[object], object] | None = None,
-    render: Callable[[RecordBlock], object] | None = None,
+    render: Callable[[np.ndarray], object] | None = None,
 ) -> SumAccumulator:
     """Every prime <= x_max's record, folded into one accumulator.
 
@@ -460,12 +413,12 @@ def scan(
     children sends each result over its own pipe, blocking once the pipe
     is full, so the backlog stays bounded.  The caller walks the jobs in
     order, sweeping its own and receiving the others, merges the results
-    in increasing p and calls `records`, if given, with each range's
-    RecordBlock (iterating it yields the PrimeRecords in increasing p), so
-    memory does not grow with x_max.  Without `records` no range builds a
-    RecordBlock: its accumulator comes from the sweep's columns alone.
-    `render` is applied to each RecordBlock in the process that swept it,
-    and `records` receives its result instead: that moves, say, CSV
+    in increasing p and calls `records`, if given, with each range's (n, 8)
+    int64 record rows (_record_block), so memory does not grow with x_max.
+    Without `records` no range builds its rows: its accumulator comes from
+    the sweep's columns alone.  `render` is applied to each range's rows
+    in the process that swept it, and `records` receives its result
+    instead: that moves, say, CSV
     formatting into the children, and only its result crosses back.  A
     child's exception is raised when the walk reaches its range, after the
     records of every earlier range; a child that dies without sending
@@ -473,17 +426,22 @@ def scan(
     terminated first if scan is failing.
     Every value is exact and depends on no random stream, so records and
     accumulator are the same at any worker count and chunk span.  Past
-    RULES_CHECKED_TO, a model with a rule has the top of its last range, a
-    full one, checked by point sampling in the process that sweeps it.
-    x_max must lie below X_MAX_LIMIT; a larger bound, or a model that
-    _odd_disc_primes refuses, raises ValueError before any job is built.
+    RULES_CHECKED_TO, the top range, a full one, is swept with
+    select_units' guard, in the process that sweeps it.
+    x_max must lie below X_MAX_LIMIT and workers must not pass MAX_WORKERS;
+    either, or a model that _odd_disc_primes refuses, raises ValueError
+    before any job is built.
     """
     if not 2 <= x_max < X_MAX_LIMIT:
         raise ValueError(f"x_max must lie in [2, 2^50), got {x_max}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must not pass {MAX_WORKERS}, got {workers}")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
     keep = records is not None
-    guard = x_max > RULES_CHECKED_TO and rule_for(curve) is not None
+    guard = x_max > RULES_CHECKED_TO
     _odd_disc_primes(curve)
+    # Loaded here, before any fork, the model's rule is inherited by every child.
+    select_units(curve, *np.zeros((3, 0), dtype=np.int64))
     span = CHUNK_SPAN
     his = range(x_max, 1, -span)[::-1]
 

@@ -4,6 +4,8 @@ import signal
 import pytest
 
 from cmfactors.eccurve import curve_table, get_curve
+from cmfactors.frobenius import KINDS, PrimeRecord
+from cmfactors.stats import scan
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +35,15 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def prime_records(rows):
+    """The PrimeRecords of a scan's (n, 8) int64 record rows, row by row."""
+    return [PrimeRecord(p, KINDS[k], *rest) for p, k, *rest in rows.tolist()]
+
+
+def scan_records(curve, x, **kwargs):
+    """scan's accumulator and the PrimeRecords it wrote, in increasing p."""
+    records = []
+    acc = scan(curve, x, records=lambda rows: records.extend(prime_records(rows)), **kwargs)
+    return acc, records

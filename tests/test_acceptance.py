@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import scan_records
 
 from cmfactors.cli import CSV_HEADER, _record_line
 from cmfactors.eccurve import cubic_splits, curve_table, get_curve
@@ -42,8 +43,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def scan_1e6():
     t0 = time.time()
-    records = []
-    acc = scan(D4, 10**6, workers=1, records=records.extend)
+    acc, records = scan_records(D4, 10**6, workers=1)
     return (acc, records), time.time() - t0
 
 
@@ -94,8 +94,7 @@ def test_criterion_3_supersingular_law():
     ok = True
     detail = ""
     for curve in CURVES:
-        records = []
-        scan(curve, 10**5, records=records.extend)
+        _, records = scan_records(curve, 10**5)
         for r in records:
             if r.kind != "ss":
                 continue
@@ -263,9 +262,8 @@ def test_criterion_9_trivlem_randomized():
 
 
 def test_criterion_10_determinism_and_merge():
-    a, b = [], []
-    scan(D4, 10**5, records=a.extend)
-    scan(D4, 10**5, records=b.extend)
+    a = scan_records(D4, 10**5)[1]
+    b = scan_records(D4, 10**5)[1]
     csv_a = "\n".join([CSV_HEADER] + [_record_line(r) for r in a])
     csv_b = "\n".join([CSV_HEADER] + [_record_line(r) for r in b])
     ok = csv_a.encode() == csv_b.encode()

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import prime_records
 
 import cmfactors
 
@@ -19,7 +20,6 @@ from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import primes_upto
 from cmfactors.quadorder import QuadInt, order
-from cmfactors.stats import RecordBlock
 
 
 def run(capsys, *argv):
@@ -303,7 +303,7 @@ def test_readme_names_only_options_the_cli_accepts():
 
 
 def _rows(values):
-    return RecordBlock(np.array(values, dtype=np.int64).reshape(-1, 8))
+    return np.array(values, dtype=np.int64).reshape(-1, 8)
 
 
 def test_block_bytes_matches_record_lines():
@@ -322,10 +322,11 @@ def test_block_bytes_matches_record_lines():
         # Each edge alone, so it sets its column's width, then all together.
         *(_rows([[v, i % len(KINDS), v, -v, v, v, -v, v]]) for i, v in enumerate(edges)),
         _rows([[v, i % len(KINDS), -v, v, -v, v, v, v] for i, v in enumerate(edges)]),
-        RecordBlock(random_rows),
+        random_rows,
     ]
-    for block in blocks:
-        assert _block_bytes(block) == "".join(_record_line(r) + "\n" for r in block).encode()
+    for rows in blocks:
+        lines = "".join(_record_line(r) + "\n" for r in prime_records(rows))
+        assert _block_bytes(rows) == lines.encode()
 
 
 @pytest.mark.parametrize(
@@ -349,6 +350,8 @@ def test_block_bytes_matches_record_lines():
         ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
+        # One range at this --xmax, so nothing would fork even without the bound.
+        ["scan", "--curve", "D4", "--xmax", "100", "--workers", str(stats.MAX_WORKERS + 1)],
         ["scan", "--curve", "D163", "--custom=-1,0,-1,1", "--xmax", "100"],
         ["scan", "--curve", "D4", "--xmax", str(10**20)],
         ["scan", "--curve", "D4", "--xmax", str(2**50)],
@@ -360,7 +363,7 @@ def test_block_bytes_matches_record_lines():
         "custom-singular", "custom-unfactorable",
         "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "bt-alpha-overflow", "wintner-z-1e11",
         "trivlem-trials-negative",
-        "out-unwritable", "workers-0", "workers-negative",
+        "out-unwritable", "workers-0", "workers-negative", "workers-past-limit",
         "custom-with-curve",
         "xmax-1e20", "xmax-2^50", "identity-x-1e20",
     ],
@@ -380,8 +383,8 @@ def _ambiguous_above_the_gate(monkeypatch):
             raise AmbiguousFrobenius(p)
         return real(p, curve, pi0)
 
-    real = stats.frobenius_by_sampling
-    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous)
+    real = frobenius.frobenius_by_sampling
+    monkeypatch.setattr(frobenius, "frobenius_by_sampling", ambiguous)
 
 
 def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,11 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import scan_records
 
-from cmfactors import frobenius, oracle, stats
+from cmfactors import frobenius, oracle
 from cmfactors.cli import main, oracle_mismatches
 from cmfactors.eccurve import CmCurve, curve_table, custom_curve, get_curve, random_point
 from cmfactors.frobenius import (
@@ -20,7 +22,6 @@ from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, pars
 from cmfactors.oracle import count_points, group_structure
 from cmfactors.primesieve import factorize, primes_upto
 from cmfactors.quadorder import QuadInt, conj, content, norm, order, trace
-from cmfactors.stats import scan
 
 
 def test_classify_examples(curve_d4):
@@ -80,8 +81,7 @@ def test_oracle_equivalence_to_2000():
 
 
 def test_record_invariants_on_scan(curve_d4):
-    records = []
-    scan(curve_d4, 10**4, records=records.extend)
+    _, records = scan_records(curve_d4, 10**4)
     for r in records:
         if r.kind == "bad":
             assert r.d_p == r.e_p == r.N == 0
@@ -112,9 +112,8 @@ def test_conjugation_invariance_on_frobenius_values(curve_d4):
 
 
 def test_determinism_same_seed(curve_d4):
-    a, b = [], []
-    scan(curve_d4, 3 * 10**4, records=a.extend)
-    scan(curve_d4, 3 * 10**4, records=b.extend)
+    a = scan_records(curve_d4, 3 * 10**4)[1]
+    b = scan_records(curve_d4, 3 * 10**4)[1]
     assert a == b
 
 
@@ -189,7 +188,7 @@ def test_inconsistent_or_incomplete_rule_raises():
     # Without 3 + 2i, the orbit of 3 + 2i (p = 13) has no allowed residue.
     partial = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(1, 0)])
     with pytest.raises(ValueError):
-        partial.select(13, 3, 2)
+        partial.select_arrays(*np.array([[13], [3], [2]]))
 
 
 def test_rule_path_agrees_with_sampling_to_1e5(all_curves):
@@ -209,7 +208,7 @@ def test_twisted_table_model_takes_sampling_path(capsys, monkeypatch):
     assert rule_for(twist) is None
     sampled = []
     monkeypatch.setattr(
-        stats, "frobenius_by_sampling",
+        frobenius, "frobenius_by_sampling",
         lambda p, curve, pi0=None: sampled.append(p) or frobenius_by_sampling(p, curve, pi0),
     )
     assert oracle_mismatches(twist, 2000)[1] == []

@@ -9,14 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import prime_records, scan_records
 
 from cmfactors.eccurve import cubic_splits, curve_table, custom_curve, get_curve
-from cmfactors.frobenius import AmbiguousFrobenius, classify, dp_ep
+from cmfactors.frobenius import KINDS, AmbiguousFrobenius, classify, dp_ep
 from cmfactors.cornacchia import solve_norm
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
 from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
-from cmfactors import stats
+from cmfactors import frobenius, stats
 from cmfactors.stats import (
     _scan_chunk,
     bt_counter,
@@ -38,21 +39,15 @@ O1 = order(-1)
 # --- scan and accumulator -----------------------------------------------------
 
 
-def _scan_with_records(curve, x, **kwargs):
-    recs = []
-    acc = scan(curve, x, records=recs.extend, **kwargs)
-    return acc, recs
-
-
 def test_scan_example_to_20(curve_d4):
-    acc, recs = _scan_with_records(curve_d4, 20)
+    acc, recs = scan_records(curve_d4, 20)
     assert acc.sum_dp == 16
     by_p = {r.p: r.d_p for r in recs}
     assert by_p == {2: 0, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 4, 19: 2}
 
 
 def test_scan_example_to_4(curve_d4):
-    acc, recs = _scan_with_records(curve_d4, 4)
+    acc, recs = scan_records(curve_d4, 4)
     assert acc.sum_dp == 2
     assert [(r.p, r.kind) for r in recs] == [(2, "bad"), (3, "small")]
 
@@ -73,11 +68,17 @@ def test_scan_rejects_bound_past_limit(curve_d4, monkeypatch):
             scan(curve_d4, x)
 
 
+def test_scan_rejects_workers_past_limit(curve_d4):
+    # A bound of 100 is one range, so nothing would fork without the check.
+    with pytest.raises(ValueError, match="workers"):
+        scan(curve_d4, 100, workers=stats.MAX_WORKERS + 1)
+
+
 def test_merge_equals_monolithic(curve_d4, monkeypatch):
     x = 2 * 10**4
-    mono = _scan_with_records(curve_d4, x)
+    mono = scan_records(curve_d4, x)
     monkeypatch.setattr(stats, "CHUNK_SPAN", 512)
-    chunked = _scan_with_records(curve_d4, x)
+    chunked = scan_records(curve_d4, x)
     assert chunked == mono
 
 
@@ -120,10 +121,10 @@ def test_checkpoint_values(curve_d4):
 
 
 def test_parallel_scan_matches_serial(curve_d4, monkeypatch):
-    serial_acc, serial_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    serial_acc, serial_recs = scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
     monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
-    par_acc, par_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=3)
-    chunked_acc, chunked_recs = _scan_with_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    par_acc, par_recs = scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=3)
+    chunked_acc, chunked_recs = scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
     assert par_recs == chunked_recs
     assert par_acc == chunked_acc
     # Chunking choices never change the values.
@@ -169,7 +170,7 @@ def test_child_error_follows_the_earlier_ranges(curve_d4, monkeypatch, deadline,
         scan(curve_d4, 5 * 10**4, workers=workers, records=blocks.append)
     assert (err.value.p, str(err.value)) == (lo, f"ambiguous Frobenius candidates at p={lo}")
     assert len(blocks) == k
-    assert all(np.array_equal(a.rows, b.rows) for a, b in zip(blocks, reference))
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, reference))
     assert multiprocessing.active_children() == []
 
 
@@ -191,7 +192,7 @@ def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
     assert scan(curve_d4, 5 * 10**4, workers=3).pi_x == 5133
     assert multiprocessing.active_children() == []
 
-    def sink(block):
+    def sink(rows):
         raise KeyError("sink")
 
     with pytest.raises(KeyError, match="sink"):
@@ -200,12 +201,12 @@ def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
 
 
 def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
-    reference = _scan_with_records(curve_d4, 100, checkpoints=[91])
+    reference = scan_records(curve_d4, 100, checkpoints=[91])
     monkeypatch.setattr(stats, "CHUNK_SPAN", 4)
     # The chunks are [2, 4], [5, 8], ..., [97, 100], and [93, 96] holds no prime.
     assert 96 in range(100, 1, -stats.CHUNK_SPAN)
     assert len(stats.primes_array(96, lo=93)) == 0
-    assert _scan_with_records(curve_d4, 100, checkpoints=[91]) == reference
+    assert scan_records(curve_d4, 100, checkpoints=[91]) == reference
 
 
 def test_scan_sieves_one_chunk_at_a_time(curve_d4, monkeypatch):
@@ -288,9 +289,9 @@ def test_sweep_matches_dp_ep_loop(curve):
     for lo, hi in _random_spans(rng, 10**5):
         cps = tuple(rng.randint(lo, hi) for _ in range(2))
         loop_acc, loop_recs = _dp_ep_chunk(curve, lo, hi, cps)
-        acc, block = _scan_chunk(curve, lo, hi, cps, True)
+        acc, rows = _scan_chunk(curve, lo, hi, cps, True)
         assert acc == loop_acc, (curve.label, lo, hi)
-        swept.extend(block)
+        swept.extend(prime_records(rows))
         looped.extend(loop_recs)
     assert len(swept) == 9592
     assert swept == looped
@@ -304,21 +305,21 @@ def test_column_accumulator_matches_the_records_folded(curve):
     rng = random.Random(f"columns:{curve.label}")
     for lo, hi in _random_spans(rng, 10**5):
         cps = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, rng.randint(lo, hi))
-        acc, block = _scan_chunk(curve, lo, hi, cps, True)
-        assert acc == _fold(block, lo, hi, cps), (curve.label, lo, hi)
+        acc, rows = _scan_chunk(curve, lo, hi, cps, True)
+        assert acc == _fold(prime_records(rows), lo, hi, cps), (curve.label, lo, hi)
         assert _scan_chunk(curve, lo, hi, cps, False) == (acc, None), (curve.label, lo, hi)
 
 
 def test_scan_without_records_builds_no_rows(curve_d4, monkeypatch):
     # Without a records sink no range builds its (n, 8) rows, the top range
     # checked past RULES_CHECKED_TO included, at one worker and two.
-    x = stats.RULES_CHECKED_TO + 100
-    reference = _scan_with_records(curve_d4, x, checkpoints=[10**5, x])[0]
+    x = frobenius.RULES_CHECKED_TO + 100
+    reference = scan_records(curve_d4, x, checkpoints=[10**5, x])[0]
 
-    def no_rows(rows):
-        raise AssertionError("a RecordBlock was built")
+    def no_rows(cols, lo, primes):
+        raise AssertionError("record rows were built")
 
-    monkeypatch.setattr(stats, "RecordBlock", no_rows)
+    monkeypatch.setattr(stats, "_record_block", no_rows)
     for workers in (1, 2):
         assert scan(curve_d4, x, checkpoints=[10**5, x], workers=workers) == reference
 
@@ -327,7 +328,7 @@ def test_sweep_samples_in_increasing_p(monkeypatch):
     # Without a rule, sampling runs in increasing p, so an ambiguous
     # Frobenius is reported at the smallest p that sampling cannot settle.
     seen = []
-    sampling = stats.frobenius_by_sampling
+    sampling = frobenius.frobenius_by_sampling
 
     def ambiguous_above_50(p, curve, pi0=None):
         seen.append(p)
@@ -335,11 +336,30 @@ def test_sweep_samples_in_increasing_p(monkeypatch):
             raise AmbiguousFrobenius(p)
         return sampling(p, curve, pi0)
 
-    monkeypatch.setattr(stats, "frobenius_by_sampling", ambiguous_above_50)
+    monkeypatch.setattr(frobenius, "frobenius_by_sampling", ambiguous_above_50)
     with pytest.raises(AmbiguousFrobenius) as err:
         _scan_chunk(RULELESS[0], 2, 1000, (), False)
     assert err.value.p == 53
     assert seen == [5, 13, 17, 29, 37, 41, 53]
+
+
+def test_guarded_chunk_of_a_ruleless_model_samples_each_prime_once(monkeypatch):
+    # A model without a rule has no picks to guard: a guarded range samples
+    # each ordinary prime once, with the sweep's element as pi0, and no more.
+    calls = []
+    sampling = frobenius.frobenius_by_sampling
+
+    def sample(p, curve, pi0=None):
+        calls.append((p, pi0))
+        return sampling(p, curve, pi0)
+
+    monkeypatch.setattr(frobenius, "frobenius_by_sampling", sample)
+    curve = RULELESS[0]
+    _, rows = _scan_chunk(curve, 2, 3000, (), True, guard=True)
+    ordinary = rows[rows[:, 1] == KINDS.index("ord"), 0].tolist()
+    assert len(ordinary) > 100
+    assert [p for p, _ in calls] == ordinary
+    assert all(pi0 == solve_norm(p, curve.order) for p, pi0 in calls)
 
 
 def test_supersingular_table_matches_cubic_splits():
@@ -356,19 +376,19 @@ def test_supersingular_table_matches_cubic_splits():
 
 def test_scan_past_checked_range_samples_its_top_primes(curve_d4, monkeypatch):
     sampled = []
-    sampling = stats.frobenius_by_sampling
+    sampling = frobenius.frobenius_by_sampling
     monkeypatch.setattr(
-        stats, "frobenius_by_sampling", lambda p, curve: sampled.append(p) or sampling(p, curve)
+        frobenius, "frobenius_by_sampling", lambda p, curve: sampled.append(p) or sampling(p, curve)
     )
     # Cut from 2 upwards, the ranges to 2 + 16 * CHUNK_SPAN would end in a
     # one-integer range with no ordinary prime to check.
-    for x in (stats.RULES_CHECKED_TO + 100, 2 + 16 * stats.CHUNK_SPAN):
+    for x in (frobenius.RULES_CHECKED_TO + 100, 2 + 16 * stats.CHUNK_SPAN):
         sampled.clear()
         scan(curve_d4, x)
-        assert len(sampled) == stats.GUARD_PRIMES, x
+        assert len(sampled) == frobenius.GUARD_PRIMES, x
         assert sampled == sorted(sampled) and x - 1000 < sampled[0] < sampled[-1] <= x
     sampled.clear()
-    scan(curve_d4, stats.RULES_CHECKED_TO)
+    scan(curve_d4, frobenius.RULES_CHECKED_TO)
     assert sampled == []
 
 
@@ -376,18 +396,18 @@ def test_scan_catches_a_corrupted_rule(curve_d4, monkeypatch):
     # -1 times the true rule's residues: consistent, complete and wrong
     # (it picks -pi_p), so only the sampling check can see it.
     wrong = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(3, 0), (1, 2)])
-    monkeypatch.setattr(stats, "rule_for", lambda curve: wrong)
+    monkeypatch.setattr(frobenius, "rule_for", lambda curve: wrong)
     with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
-        scan(curve_d4, stats.RULES_CHECKED_TO + 100)
+        scan(curve_d4, frobenius.RULES_CHECKED_TO + 100)
 
 
 def test_scan_catches_a_corrupted_rule_in_a_worker(curve_d4, monkeypatch):
     # The job that sweeps the top range runs the check, here in a forked
     # worker, and its ArithmeticError reaches the caller.
     wrong = FrobeniusRule((-1, 0, -1, 1), "pi", 4, [(3, 0), (1, 2)])
-    monkeypatch.setattr(stats, "rule_for", lambda curve: wrong)
+    monkeypatch.setattr(frobenius, "rule_for", lambda curve: wrong)
     with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
-        scan(curve_d4, stats.RULES_CHECKED_TO + 100, workers=2)
+        scan(curve_d4, frobenius.RULES_CHECKED_TO + 100, workers=2)
 
 
 def test_ranges_matches_python_ranges():
