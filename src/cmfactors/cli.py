@@ -96,11 +96,9 @@ def _record_line(rec) -> str:
     )
 
 
-# KINDS as a byte table, each name left-aligned in the width of the longest,
-# with a mask of the bytes that belong to the name.
+# KINDS as a byte table, each name NUL-padded to the width of the longest.
 _KIND_WIDTH = max(map(len, KINDS))
-_KIND_BYTES = np.array([list(k.ljust(_KIND_WIDTH).encode()) for k in KINDS], dtype=np.uint8)
-_KIND_KEEP = np.array([[i < len(k) for i in range(_KIND_WIDTH)] for k in KINDS])
+_KIND_BYTES = np.array([list(k.ljust(_KIND_WIDTH, "\0").encode()) for k in KINDS], dtype=np.uint8)
 
 
 def _block_bytes(rows: np.ndarray) -> bytes:
@@ -110,9 +108,10 @@ def _block_bytes(rows: np.ndarray) -> bytes:
     (n, width) uint8 matrix: per column an optional sign slot, the decimal
     digits right-aligned in the width of the column's largest value, then
     ',' (the last column's is '\n'); the kind column holds its name from
-    a padded byte table.  A mask of the same shape drops leading zeros,
-    unused sign slots and kind padding, and the masked matrix, read row
-    by row, is the text.  The matrix is stored column-major so that each
+    a NUL-padded byte table.  Leading zeros, the sign slots of nonnegative
+    values and kind padding are NUL, so the matrix read row by row with
+    its NULs deleted by one bytes.translate is the text.  The matrix is
+    stored column-major, like the rows _record_block builds, so that each
     digit position is one contiguous write.  Digits come from repeated
     division by the scalar 10, which numpy does far faster than a
     broadcast division by a column of powers of ten, and in uint32 when
@@ -130,29 +129,30 @@ def _block_bytes(rows: np.ndarray) -> bytes:
                        n > 0 and bool((col < 0).any()), len(str(top))))
     width = sum(sign + w + 1 for _, sign, w in layout)
     text = np.empty((n, width), dtype=np.uint8, order="F")
-    keep = np.ones((n, width), dtype=bool, order="F")
     at = 0
     for j, (m, sign, w) in enumerate(layout):
         if sign:
-            text[:, at] = ord("-")
-            np.less(rows[:, j], 0, out=keep[:, at])
+            np.less(rows[:, j], 0, out=text[:, at].view(bool))
+            text[:, at] *= ord("-")
             at += 1
         if j == 1:
             text[:, at:at + w] = _KIND_BYTES[m]
-            keep[:, at:at + w] = _KIND_KEEP[m]
         else:
             for k in range(at + w - 1, at - 1, -1):
                 q = m // 10
-                np.subtract(m, q * 10, out=text[:, k], casting="unsafe")
-                if k < at + w - 1:
-                    np.greater(m, 0, out=keep[:, k])
+                # '0' plus the digit while any digit is left, else NUL.
+                digit = text[:, k]
+                np.greater(m, 0, out=digit.view(bool))
+                digit *= ord("0")
+                np.add(digit, m - q * 10, out=digit, casting="unsafe")
                 m = q
-            text[:, at:at + w] += ord("0")
+            # A zero still shows its units digit.
+            text[:, at + w - 1] |= ord("0")
         at += w
         text[:, at] = ord(",")
         at += 1
     text[:, -1] = ord("\n")
-    return text[keep].tobytes()
+    return text.tobytes(order="C").translate(None, b"\0")
 
 
 def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:

@@ -17,6 +17,7 @@ reach, so each is evaluated at most once per prime.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -229,7 +230,8 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     For each prime q, the q-valuation of d is the largest j with
     #{P : q^j P = infinity} = q^(2j); the count runs over the whole group,
     so the result is exact.  Levels are cut down first: full q^j-torsion
-    forces q^j | p - 1 (Weil pairing) and q^(2j) | N.  The 2-torsion is
+    forces q^j | p - 1 (Weil pairing) and q^(2j) | N, so only the primes of
+    gcd(N, p - 1) are tried, each while both hold.  The 2-torsion is
     infinity and the cubic's roots, so level q = 2, j = 1 is 1 + roots.  Any
     other level needs q^(2j) | N with N <= p + 1 + 2 sqrt(p), hence p >= 5,
     and tests [n]P = O, n = q^j, as psi_n(P) = 0 (exact for P != O and
@@ -241,9 +243,9 @@ def group_structure(curve: CmCurve, p: int) -> tuple[int, int]:
     _check_p(curve, p)
     N, roots, rhs, square = _counting_pass(curve, p)
     d, X, memo = 1, None, {}
-    for q, k in factorize(N):
-        for j in range(1, k // 2 + 1):
-            if (p - 1) % q**j:
+    for q, k in factorize(math.gcd(N, p - 1)):
+        for j in range(1, k + 1):
+            if N % q ** (2 * j):
                 break
             if q == 2 and j == 1:
                 killed = roots

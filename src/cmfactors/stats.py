@@ -346,19 +346,23 @@ def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator
 
 def _record_block(cols: Columns, lo: int, primes: np.ndarray) -> np.ndarray:
     """The (n, 8) int64 record rows of the primes of one range from lo, in increasing p:
-    PrimeRecord's fields, the kind as its index in KINDS, from the Columns."""
-    rows = np.zeros((len(primes), 8), dtype=np.int64)
+    PrimeRecord's fields, the kind as its index in KINDS, from the Columns.
+
+    The rows are column-major, the layout cli._block_bytes reads, and are
+    filled one column at a time."""
+    rows = np.zeros((len(primes), 8), dtype=np.int64, order="F")
     rows[:, 0] = primes
     # Row of each prime by its offset from lo, in place of a search of the unsorted p.
     row = np.empty(int(primes[-1]) - lo + 1 if len(primes) else 0, dtype=np.int64)
     row[primes - lo] = np.arange(len(primes))
-    p, *values = cols.scalar
-    rows[row[p - lo], 1:] = np.column_stack(values)
-    # The ordinary and supersingular values are the rows' last columns.
-    for (p, *values), kind in zip(cols[1:], (_ORD, _SS)):
+    # The scalar values start at the kind; the ordinary and supersingular
+    # values are the rows' last columns.
+    for (p, *values), kind in zip(cols, (None, _ORD, _SS)):
         at = row[p - lo]
-        rows[at, 1] = kind
-        rows[at, 8 - len(values):] = np.column_stack(values)
+        if kind is not None:
+            rows[:, 1][at] = kind
+        for j, v in enumerate(values, 8 - len(values)):
+            rows[:, j][at] = v
     return rows
 
 
