@@ -9,10 +9,12 @@ Subcommands:
 A model outside the packaged table comes in only by --custom, and only
 once the records scan writes for it match the oracle up to p = 200.
 
-Exit codes: 0 success, 1 failed check or mismatch, or a scan worker that
-died without a result, 2 bad arguments (a --custom model that fails the
-gate among them), 3 ambiguous Frobenius above the gate (with the prime
-reported; only the point sampling of a --custom model can raise it).
+Exit codes: 0 success, 1 failed check or mismatch (an ArithmeticError
+itself, as the Frobenius rule's guard raises, or a scan worker that died
+without a result), 2 bad arguments (a --custom model that fails the gate
+among them), 3 ambiguous Frobenius above the gate (with the prime reported;
+only the point sampling of a --custom model can raise it).  A subclass of
+ArithmeticError, such as ZeroDivisionError, is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -162,12 +164,7 @@ def _summary_text(curve: CmCurve, seed, acc: SumAccumulator, x_max: int) -> str:
         "xmax": x_max,
         "sum_dp": acc.sum_dp,
         "sum_ep": acc.sum_ep,
-        "counts": {
-            "bad": acc.count_bad,
-            "ord": acc.count_ord,
-            "small": acc.count_small,
-            "ss": acc.count_ss,
-        },
+        "counts": acc.counts,
         "checkpoints": [
             {"x": c.x, "sum_dp": c.sum_dp, "sum_ep": c.sum_ep, "pi_x": c.pi_x}
             for c in acc.checkpoints
@@ -447,7 +444,10 @@ def main(argv=None) -> int:
     except AmbiguousFrobenius as e:
         print(f"ambiguous Frobenius at p={e.p}", file=sys.stderr)
         return 3
-    except stats.WorkerLost as e:
+    except (stats.WorkerLost, ArithmeticError) as e:
+        # A subclass of ArithmeticError, such as ZeroDivisionError, is a bug: keep its traceback.
+        if type(e) not in (stats.WorkerLost, ArithmeticError):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 1
 

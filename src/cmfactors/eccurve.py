@@ -16,7 +16,6 @@ from .primesieve import factorize
 from .quadorder import ORDER_PARAMS, OrderDesc, order
 
 Point = tuple[int, int] | None
-INFINITY: Point = None
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,6 @@ def get_curve(label: str) -> CmCurve:
     raise KeyError(f"no curve labelled {label!r}")
 
 
-def is_on_curve(P: Point, curve: CmCurve, p: int) -> bool:
-    if P is None:
-        return True
-    x, y = P
-    return (y * y - curve.rhs(x, p)) % p == 0
-
-
 def _add(P: Point, Q: Point, a: int, p: int) -> Point:
     """Group law with pre-reduced a = A mod p; no input validation."""
     if P is None:
@@ -140,26 +132,6 @@ def _scalar_mul(n: int, P: Point, a: int, p: int) -> Point:
         if n:
             Q = _add(Q, Q, a, p)
     return R
-
-
-def add(P: Point, Q: Point, curve: CmCurve, p: int) -> Point:
-    """Group law with infinity as identity."""
-    if p <= 3 or p in curve.bad_primes:
-        raise ValueError(f"p={p} is not usable for curve arithmetic on {curve.label}")
-    if not (is_on_curve(P, curve, p) and is_on_curve(Q, curve, p)):
-        raise ValueError("point is not on the curve")
-    return _add(P, Q, curve.A % p, p)
-
-
-def scalar_mul(n: int, P: Point, curve: CmCurve, p: int) -> Point:
-    """n*P by double-and-add, n >= 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if p <= 3 or p in curve.bad_primes:
-        raise ValueError(f"p={p} is not usable for curve arithmetic on {curve.label}")
-    if not is_on_curve(P, curve, p):
-        raise ValueError("point is not on the curve")
-    return _scalar_mul(n, P, curve.A % p, p)
 
 
 def negate(P: Point, p: int) -> Point:

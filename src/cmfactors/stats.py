@@ -75,37 +75,28 @@ class Checkpoint(NamedTuple):
 class SumAccumulator:
     """Mergeable aggregate over a contiguous range of prime values.
 
-    Covers primes p with x_lo <= p <= x_processed.  Merging contiguous
-    accumulators is exactly equivalent to one monolithic accumulation,
-    field for field, checkpoints included.
+    Covers primes p with x_lo <= p <= x_processed.  counts holds the number
+    of primes of each kind, keyed by KINDS in that order, zeros included.
+    Merging contiguous accumulators is exactly equivalent to one monolithic
+    accumulation, field for field, checkpoints included.
     """
 
     x_lo: int
     x_processed: int
     sum_dp: int = 0
     sum_ep: int = 0
-    count_ord: int = 0
-    count_ss: int = 0
-    count_bad: int = 0
-    count_small: int = 0
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(KINDS, 0))
     hist_dp: dict[int, int] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
     @property
     def pi_x(self) -> int:
-        return self.count_ord + self.count_ss + self.count_bad + self.count_small
+        return sum(self.counts.values())
 
     def accumulate(self, rec: PrimeRecord) -> None:
         self.sum_dp += rec.d_p
         self.sum_ep += rec.e_p
-        if rec.kind == "ord":
-            self.count_ord += 1
-        elif rec.kind == "ss":
-            self.count_ss += 1
-        elif rec.kind == "bad":
-            self.count_bad += 1
-        else:
-            self.count_small += 1
+        self.counts[rec.kind] += 1
         self.hist_dp[rec.d_p] = self.hist_dp.get(rec.d_p, 0) + 1
 
     def snapshot(self, x: int) -> None:
@@ -133,10 +124,7 @@ def merge(a: SumAccumulator, b: SumAccumulator) -> SumAccumulator:
         x_processed=b.x_processed,
         sum_dp=a.sum_dp + b.sum_dp,
         sum_ep=a.sum_ep + b.sum_ep,
-        count_ord=a.count_ord + b.count_ord,
-        count_ss=a.count_ss + b.count_ss,
-        count_bad=a.count_bad + b.count_bad,
-        count_small=a.count_small + b.count_small,
+        counts={k: a.counts[k] + b.counts[k] for k in KINDS},
         hist_dp=hist,
         checkpoints=a.checkpoints + shifted,
     )
@@ -324,23 +312,15 @@ def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator
     counts = np.bincount(cols.scalar[1], minlength=len(KINDS))
     counts[_ORD] += len(cols.ordinary[0])
     counts[_SS] += len(cols.supersingular[0])
-    hist_d, hist_n = np.unique(np.concatenate([part[-2] for part in cols]), return_counts=True)
-    acc = SumAccumulator(
-        x_lo=lo,
-        x_processed=hi,
-        sum_dp=sum(int(part[-2].sum()) for part in cols),
-        sum_ep=sum(int(part[-1].sum()) for part in cols),
-        hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())),
-        **{f"count_{k}": c for k, c in zip(KINDS, counts.tolist())},
-    )
+    p, d, e = (np.concatenate([part[j] for part in cols]) for j in (0, -2, -1))
+    hist_d, hist_n = np.unique(d, return_counts=True)
+    acc = SumAccumulator(x_lo=lo, x_processed=hi, sum_dp=int(d.sum()), sum_ep=int(e.sum()),
+                         counts=dict(zip(KINDS, counts.tolist())),
+                         hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())))
     for x in sorted(x for x in checkpoints if lo <= x <= hi):
-        upto = [part[0] <= x for part in cols]
-        acc.checkpoints.append(Checkpoint(
-            x,
-            sum(int(part[-2][m].sum()) for part, m in zip(cols, upto)),
-            sum(int(part[-1][m].sum()) for part, m in zip(cols, upto)),
-            sum(int(m.sum()) for m in upto),
-        ))
+        upto = p <= x
+        acc.checkpoints.append(
+            Checkpoint(x, int(d[upto].sum()), int(e[upto].sum()), int(upto.sum())))
     return acc
 
 

@@ -425,16 +425,23 @@ def _ambiguous(lo, hi):
     raise AmbiguousFrobenius(lo)
 
 
+def _guard_fails(lo, hi):
+    raise ArithmeticError(f"the Frobenius rule of j1728-D4 disagrees with point sampling at p={hi}")
+
+
 @pytest.mark.parametrize("fail, code, message", [
     (lambda lo, hi: os._exit(1), 1,
      "error: the worker sweeping [{lo}, {hi}] ended with exit code 1 before sending its result\n"),
     (_ambiguous, 3, "ambiguous Frobenius at p={lo}\n"),
-], ids=["dies", "ambiguous"])
+    (_guard_fails, 1,
+     "error: the Frobenius rule of j1728-D4 disagrees with point sampling at p={hi}\n"),
+], ids=["dies", "ambiguous", "guard"])
 def test_scan_failure_in_a_worker_leaves_no_output(tmp_path, capsys, monkeypatch, deadline,
                                                    fail, code, message):
     # Range 3 of the scan belongs to the one child at --workers 2: whether
-    # it dies without a result or raises, the scan ends with one line on
-    # stderr and its exit code, and --out leaves no file behind.
+    # it dies without a result, raises AmbiguousFrobenius or fails the
+    # guard's check, the scan ends with one line on stderr and its exit
+    # code, and --out leaves no file behind.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
     lo, hi = 1632, 2332
     parent, real = os.getpid(), stats._scan_chunk

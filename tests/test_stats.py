@@ -12,7 +12,7 @@ import pytest
 from conftest import prime_records, scan_records
 
 from cmfactors.eccurve import cubic_splits, curve_table, custom_curve, get_curve
-from cmfactors.frobenius import KINDS, AmbiguousFrobenius, classify, dp_ep
+from cmfactors.frobenius import BAD, KINDS, SMALL, AmbiguousFrobenius, classify, dp_ep
 from cmfactors.cornacchia import solve_norm
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
@@ -99,6 +99,12 @@ def test_merge_commutative_associative(curve_d4):
     c = part(cut2 + 1, 199)
     assert merge(a, b) == merge(b, a)
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
+    # Every kind keeps its key, in KINDS' order, also at a zero count: above
+    # p = 20 no prime of D4 is bad or small.
+    assert b.counts[BAD] == b.counts[SMALL] == c.counts[BAD] == c.counts[SMALL] == 0
+    for acc in (a, b, c, merge(a, b), merge(b, c), merge(merge(a, b), c)):
+        assert tuple(acc.counts) == KINDS
+        assert acc.pi_x == sum(acc.counts.values())
     with pytest.raises(ValueError):
         merge(a, c)
 
