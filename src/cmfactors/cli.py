@@ -50,14 +50,6 @@ def _default_seed() -> int:
         raise SystemExit2(f"$CMIF_SEED must be an integer, got {os.environ['CMIF_SEED']!r}")
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on: os.cpu_count() counts every core
-    of the machine, also those that CPU affinity rules out."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _resolve_curve(args) -> CmCurve:
     if args.custom and args.curve:
         raise SystemExit2("--custom cannot be combined with --curve")
@@ -393,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="defaults to $CMIF_SEED or 0")
     sp.add_argument("--checkpoints", default="", help="comma-separated snapshot bounds")
     sp.add_argument("--out", default=None, help="records CSV path (summary goes to PATH.summary.json)")
-    sp.add_argument("--workers", type=int, default=min(_usable_cores(), stats.MAX_WORKERS),
+    sp.add_argument("--workers", type=int, default=min(len(stats.usable_cpus()), stats.MAX_WORKERS),
                     help="processes that sweep, this one included (default: usable cores)")
     sp.set_defaults(func=cmd_scan)
 

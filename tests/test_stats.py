@@ -206,6 +206,68 @@ def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
     assert multiprocessing.active_children() == []
 
 
+def test_scan_pins_each_process_to_its_own_cpu(curve_d4, monkeypatch, deadline):
+    # At 2 workers the caller sweeps its ranges on the mask's first CPU and
+    # the child on its second; the caller's mask comes back after a clean
+    # scan, after a child's error and after the sink's.
+    cpus = stats.usable_cpus()
+    if len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+        pytest.skip("placement needs an affinity mask of at least 2 CPUs")
+    original = os.sched_getaffinity(0)
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+
+    def where(rows):
+        return os.sched_getaffinity(0)
+
+    masks = []
+    scan(curve_d4, 5 * 10**4, workers=2, records=masks.append, render=where)
+    assert len(masks) == len(_span_ranges(5 * 10**4))
+    assert masks[0::2] == [{cpus[0]}] * len(masks[0::2])
+    assert masks[1::2] == [{cpus[1]}] * len(masks[1::2])
+    assert os.sched_getaffinity(0) == original
+
+    def sink(mask):
+        raise KeyError("sink")
+
+    with pytest.raises(KeyError, match="sink"):
+        scan(curve_d4, 5 * 10**4, workers=2, records=sink, render=where)
+    assert os.sched_getaffinity(0) == original
+
+    def ambiguous(lo, hi):
+        raise AmbiguousFrobenius(lo)
+
+    _fail_in_a_child(monkeypatch, _span_ranges(5 * 10**4)[3][0], ambiguous)
+    with pytest.raises(AmbiguousFrobenius):
+        scan(curve_d4, 5 * 10**4, workers=2, records=masks.append, render=where)
+    assert os.sched_getaffinity(0) == original
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mask, workers, refuse", [
+    ({0}, 2, False),
+    ({0, 1}, 3, False),
+    ({0, 1}, 2, True),
+], ids=["one-cpu-at-2", "two-cpus-at-3", "setaffinity-fails"])
+def test_scan_without_placement_matches_serial(curve_d4, monkeypatch, deadline,
+                                               mask, workers, refuse):
+    # Too few CPUs pins nothing; a refused pin is ignored.  The calls are the
+    # caller's: its pin and the restore of its mask.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    reference = scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
+    calls = []
+
+    def setaffinity(pid, cpus):
+        calls.append((pid, set(cpus)))
+        if refuse:
+            raise OSError("refused")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+    assert scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=workers) == reference
+    assert calls == ([(0, {0}), (0, {0, 1})] if refuse else [])
+    assert multiprocessing.active_children() == []
+
+
 def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
     reference = scan_records(curve_d4, 100, checkpoints=[91])
     monkeypatch.setattr(stats, "CHUNK_SPAN", 4)
