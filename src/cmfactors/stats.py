@@ -12,10 +12,9 @@ ratios go through floating point.
 A scan on W workers runs W processes, the caller among them: range i goes
 to process i % W by a fixed round robin, and each of the W - 1 forked
 children sends its results over its own pipe, so the backlog is bounded.
-When the caller's CPU affinity mask holds at least W CPUs, process k is
+When the caller's CPU affinity mask holds exactly W CPUs, process k is
 pinned to the k-th of them for the scan's duration, and the caller's mask
-is restored afterwards; several scans run at once should each be given
-their own mask (taskset -c), or their processes share the same CPUs.
+is restored afterwards.
 
 Every range is swept as arrays into Columns, its records in three parts:
 p <= 3 and the bad primes, p = 2 among them, through dp_ep; the ordinary
@@ -386,14 +385,11 @@ def _pin(cpus) -> None:
         pass
 
 
-def _sweep_jobs(conn, jobs, cpu: int | None) -> None:
-    """A child of scan: pin itself to cpu unless it is None, then sweep jobs
-    in order and send each one's (acc, kept) over conn.  An exception is
-    sent in place of its job's result and ends the child; scan raises it
-    when it reaches that range."""
+def _sweep_jobs(conn, jobs) -> None:
+    """A child of scan: sweep jobs in order and send each one's (acc, kept)
+    over conn.  An exception is sent in place of its job's result and ends
+    the child; scan raises it when it reaches that range."""
     with conn:
-        if cpu is not None:
-            _pin({cpu})
         try:
             for job in jobs:
                 conn.send(_scan_chunk(*job))
@@ -434,10 +430,10 @@ def scan(
     records of every earlier range; a child that dies without sending
     raises WorkerLost.  On every exit the children are joined, and
     terminated first if scan is failing.
-    If the caller's affinity mask (usable_cpus) holds at least W > 1 CPUs,
-    process k pins itself to the k-th of them before its first range, and
-    the caller's mask is restored on every exit.  With fewer CPUs, or no
-    sched_setaffinity, no process is pinned; a failed pin is ignored.
+    If the caller's affinity mask (usable_cpus) holds exactly W > 1 CPUs,
+    process k runs on the k-th of them from its first range, and the
+    caller's mask is restored on every exit.  With fewer or more CPUs, or
+    no sched_setaffinity, no process is pinned; a failed pin is ignored.
     Every value is exact and depends on no random stream, so records and
     accumulator are the same at any worker count and chunk span.  Past
     RULES_CHECKED_TO, the top range, a full one, is swept with
@@ -465,11 +461,11 @@ def scan(
             yield curve, max(hi - span + 1, 2), hi, cps, keep, render, guard and hi == x_max
 
     w = max(1, min(workers, len(his)))
-    # One CPU per process when the mask has w of them.  Unpinned, a child's
-    # pipe write wakes the caller onto the child's CPU, and on a short scan
-    # the two share one CPU for most of it.
+    # One CPU per process when the mask has exactly w of them.  Unpinned, a
+    # child's pipe write wakes the caller onto the child's CPU, and on a
+    # short scan the two share one CPU for most of it.
     cpus = usable_cpus() if w > 1 else []
-    pin = len(cpus) >= w and hasattr(os, "sched_setaffinity")
+    pin = len(cpus) == w and hasattr(os, "sched_setaffinity")
     # fork, not spawn: the children inherit their jobs, render and any
     # rebound module name without pickling, and scan itself starts no thread.
     ctx = multiprocessing.get_context("fork")
@@ -479,8 +475,10 @@ def scan(
         for k in range(1, w):
             recv_end, send_end = ctx.Pipe(duplex=False)
             pipes.append(recv_end)
-            children.append(ctx.Process(target=_sweep_jobs,
-                                        args=(send_end, jobs(his[k::w]), cpus[k] if pin else None)))
+            children.append(ctx.Process(target=_sweep_jobs, args=(send_end, jobs(his[k::w]))))
+            if pin:
+                # The child inherits this mask at the fork, before its first range.
+                _pin({cpus[k]})
             children[-1].start()
             # Closed before the next fork, so only child k holds this end and
             # its death ends the pipe.

@@ -206,13 +206,23 @@ def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
     assert multiprocessing.active_children() == []
 
 
-def test_scan_pins_each_process_to_its_own_cpu(curve_d4, monkeypatch, deadline):
-    # At 2 workers the caller sweeps its ranges on the mask's first CPU and
-    # the child on its second; the caller's mask comes back after a clean
-    # scan, after a child's error and after the sink's.
-    cpus = stats.usable_cpus()
-    if len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+@pytest.fixture
+def two_cpus():
+    """The first two usable CPUs, made this process's whole mask for the test."""
+    if len(stats.usable_cpus()) < 2 or not hasattr(os, "sched_setaffinity"):
         pytest.skip("placement needs an affinity mask of at least 2 CPUs")
+    full = os.sched_getaffinity(0)
+    cpus = stats.usable_cpus()[:2]
+    os.sched_setaffinity(0, cpus)
+    yield cpus
+    os.sched_setaffinity(0, full)
+
+
+def test_scan_pins_each_process_to_its_own_cpu(curve_d4, monkeypatch, deadline, two_cpus):
+    # On a 2-CPU mask at 2 workers the caller sweeps its ranges on the
+    # mask's first CPU and the child on its second; the caller's mask comes
+    # back after a clean scan, after a child's error and after the sink's.
+    cpus = two_cpus
     original = os.sched_getaffinity(0)
     monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
 
@@ -246,12 +256,14 @@ def test_scan_pins_each_process_to_its_own_cpu(curve_d4, monkeypatch, deadline):
 @pytest.mark.parametrize("mask, workers, refuse", [
     ({0}, 2, False),
     ({0, 1}, 3, False),
+    ({0, 1, 2}, 2, False),
     ({0, 1}, 2, True),
-], ids=["one-cpu-at-2", "two-cpus-at-3", "setaffinity-fails"])
+], ids=["one-cpu-at-2", "two-cpus-at-3", "three-cpus-at-2", "setaffinity-fails"])
 def test_scan_without_placement_matches_serial(curve_d4, monkeypatch, deadline,
                                                mask, workers, refuse):
-    # Too few CPUs pins nothing; a refused pin is ignored.  The calls are the
-    # caller's: its pin and the restore of its mask.
+    # A mask of other than `workers` CPUs pins nothing; a refused pin is
+    # ignored.  Every call is the caller's: the child's CPU, inherited at the
+    # fork, then its own, then the restore of its mask.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
     reference = scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4])
     calls = []
@@ -264,7 +276,7 @@ def test_scan_without_placement_matches_serial(curve_d4, monkeypatch, deadline,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
     assert scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=workers) == reference
-    assert calls == ([(0, {0}), (0, {0, 1})] if refuse else [])
+    assert calls == ([(0, {1}), (0, {0}), (0, {0, 1})] if refuse else [])
     assert multiprocessing.active_children() == []
 
 
