@@ -153,9 +153,10 @@ class FrobeniusRule:
         return ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace
 
 
-def parse_rules(text: str) -> dict[Model, FrobeniusRule]:
-    """Rules from data-file text: one `A B g f kind M residues` line per model."""
-    rules = {}
+def parse_rules(text: str) -> dict[Model, tuple[str, int, list[tuple[int, int]]]]:
+    """The fields (kind, M, residues) of each model's rule in data-file text,
+    one `A B g f kind M residues` line per model; no rule is built."""
+    fields = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -168,10 +169,10 @@ def parse_rules(text: str) -> dict[Model, FrobeniusRule]:
         for item in parts[6].split(","):
             x, _, y = item.partition(":")
             residues.append((int(x), int(y)))
-        if model in rules:
+        if model in fields:
             raise ValueError(f"duplicate Frobenius rule for model {model}")
-        rules[model] = FrobeniusRule(model, parts[4], int(parts[5]), residues)
-    return rules
+        fields[model] = (parts[4], int(parts[5]), residues)
+    return fields
 
 
 def format_rule(rule: FrobeniusRule) -> str:
@@ -182,16 +183,25 @@ def format_rule(rule: FrobeniusRule) -> str:
 
 
 @functools.cache
-def packaged_rules() -> dict[Model, FrobeniusRule]:
-    """The shipped rules, parsed on first use and checked to cover the thirteen orders."""
+def _packaged_fields() -> dict[Model, tuple[str, int, list[tuple[int, int]]]]:
+    """The shipped rules' fields, read on first use and checked to cover the thirteen orders."""
     text = resources.files(__package__).joinpath("data/frobenius.txt").read_text()
-    rules = parse_rules(text)
-    if {(g, f) for _, _, g, f in rules} != set(ORDER_PARAMS):
+    fields = parse_rules(text)
+    if {(g, f) for _, _, g, f in fields} != set(ORDER_PARAMS):
         raise ValueError("packaged Frobenius rules do not cover the thirteen orders")
-    return rules
+    return fields
+
+
+@functools.cache
+def _packaged_rule(model: Model) -> FrobeniusRule | None:
+    fields = _packaged_fields().get(model)
+    return None if fields is None else FrobeniusRule(model, *fields)
 
 
 def rule_for(curve) -> FrobeniusRule | None:
-    """The packaged rule for the curve's model (A, B, g, f), if there is one."""
+    """The packaged rule for the curve's model (A, B, g, f), if there is one.
+
+    Only that model's rule is built, tables and all, on first use: a scan of
+    one curve builds one rule, not thirteen."""
     od = curve.order
-    return packaged_rules().get((curve.A, curve.B, od.g, od.f))
+    return _packaged_rule((curve.A, curve.B, od.g, od.f))

@@ -1,13 +1,18 @@
 """Primes and integer factorisation: the package's one source of each.
 
-`primes_array(x, lo)` is a windowed sieve of Eratosthenes: one odd-only
-numpy mask over [lo, x], struck segment by segment by the odd primes up to
-sqrt(x).  Those base primes come from a per-process cache, filled on first
+`odd_mask(x, lo)` is a windowed sieve of Eratosthenes: one odd-only numpy
+mask over [lo, x], struck segment by segment by the odd primes up to
+sqrt(x).  The base primes come from a per-process cache, filled on first
 need (never at import) by the same sieve and regrown to the next power of
 two of the root a larger window asks for.  Each base prime below
 SLICE_BELOW strikes one strided slice per segment; all larger ones strike a
 segment in one scatter, whose positions are built run by run as in
-stats._ranges.  A scan range of stats.CHUNK_SPAN integers is one segment;
+stats._ranges.  A scan range of stats.CHUNK_SPAN integers is one segment.
+
+The mask is handed over as it is: the scan's sweep looks its lattice
+points' norms up in it and clears from it the primes it has classified, so
+a range that keeps no records never builds a primes array.
+`primes_array(x, lo)` is the mask read out by `mask_primes`, and
 `primes_upto` is the window [2, x] as a list.  `factorize` is trial
 division, exact for every integer the package meets (group orders, element
 norms, divisors of d_p, model discriminants); `euler_phi` and `divisors`
@@ -28,7 +33,7 @@ TRIAL_LIMIT = 10**6
 # strike in one scatter, where a slice's fixed cost would outweigh its work.
 SLICE_BELOW = 1 << 7
 
-# primes_array strikes its mask this many slots (odd numbers) at a time, so
+# odd_mask strikes its mask this many slots (odd numbers) at a time, so
 # a scatter's positions take about a megabyte whatever the window.
 SEGMENT = 1 << 17
 
@@ -77,14 +82,15 @@ def _strike(mask: np.ndarray, low: int, base: np.ndarray) -> None:
     mask[at] = False
 
 
-def primes_array(x: int, lo: int = 2) -> np.ndarray:
-    """The primes in [lo, x] as one int64 array (empty if there are none)."""
+def odd_mask(x: int, lo: int = 2) -> tuple[int, np.ndarray]:
+    """The sieve's window [lo, x] as (low, mask): slot i of the bool mask
+    stands for the odd number low + 2i, True exactly when it is prime, and
+    low = max(lo, 3) | 1.  The mask is empty exactly when the window holds
+    no odd number above 2; the prime 2 has no slot."""
     if x < 2:
         raise ValueError("x must be at least 2")
     if not 2 <= lo <= x:
         raise ValueError("need 2 <= lo <= x")
-    # Mask slot i stands for the odd number low + 2i; low <= x + 1, so the
-    # mask is empty exactly when the window holds no odd number above 2.
     low = max(lo, 3) | 1
     mask = np.ones((x - low) // 2 + 1, dtype=bool)
     base = _odd_base_primes(math.isqrt(x))
@@ -93,8 +99,21 @@ def primes_array(x: int, lo: int = 2) -> np.ndarray:
         seg_low = low + 2 * i
         top = math.isqrt(seg_low + 2 * (len(seg) - 1))
         _strike(seg, seg_low, base[: np.searchsorted(base, top, side="right")])
-    odd = low + 2 * np.flatnonzero(mask).astype(np.int64)
-    return np.concatenate((np.array([2], dtype=np.int64), odd)) if lo == 2 else odd
+    return low, mask
+
+
+def mask_primes(low: int, mask: np.ndarray, two: bool = False) -> np.ndarray:
+    """The odd numbers low + 2i that mask marks, after 2 if two, as one
+    increasing int64 array."""
+    odd = np.flatnonzero(mask).astype(np.int64, copy=False)
+    odd <<= 1
+    odd += low
+    return np.concatenate((np.array([2], dtype=np.int64), odd)) if two else odd
+
+
+def primes_array(x: int, lo: int = 2) -> np.ndarray:
+    """The primes in [lo, x] as one int64 array (empty if there are none)."""
+    return mask_primes(*odd_mask(x, lo), two=lo == 2)
 
 
 def primes_upto(x: int) -> list[int]:

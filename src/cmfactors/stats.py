@@ -10,29 +10,37 @@ Identity checks use exact integer or rational arithmetic; only diagnostic
 ratios go through floating point.
 
 A scan on W workers runs W processes, the caller among them: range i goes
-to process i % W by a fixed round robin, and each of the W - 1 forked
-children sends its results over its own pipe, so the backlog is bounded.
-When the caller's CPU affinity mask holds exactly W CPUs, process k is
-pinned to the k-th of them for the scan's duration, and the caller's mask
-is restored afterwards.
+to process i % W by a fixed round robin.  Each of the W - 1 children is
+forked by a bare os.fork, with no multiprocessing (whose import and first
+pipe cost a short scan more than its fork), and sends its results pickled
+down its own os.pipe, so the backlog is bounded.  A child leaves only by
+os._exit, on every path, so it never runs the caller's cleanup nor
+flushes the caller's buffered output; the caller reaps every child by
+os.waitpid on every exit, after sending each one SIGTERM if the scan is
+failing.  When the caller's CPU affinity mask holds exactly W CPUs,
+process k is pinned to the k-th of them for the scan's duration, and the
+caller's mask is restored afterwards.
 
-Every range is swept as arrays into Columns, its records in three parts:
-p <= 3 and the bad primes, p = 2 among them, through dp_ep; the ordinary
-primes, from the lattice points of prime norm with Cornacchia's element,
-whose unit frobenius.select_units picks; and the supersingular primes, the
-rest of the range's bitmap, whose d_p comes from residue tables.  The sweep
-builds one point per split p, in the sector where Cornacchia's element
-lies, and of those only the points whose parity classes (a mod 2, b mod 2)
-give an odd norm.  A range's accumulator is summed straight from its
-columns; its (n, 8) int64 record rows are built only when the caller keeps
-the records.
+Every range is sieved into the odd-only mask of primesieve.odd_mask and
+swept as arrays into Columns, its records in three parts: p <= 3 and the
+bad primes, p = 2 among them, through dp_ep; the ordinary primes, from the
+lattice points of prime norm, looked up in the mask, with Cornacchia's
+element, whose unit frobenius.select_units picks; and the supersingular
+primes, what is left of the mask, whose d_p comes from residue tables.
+The sweep builds one point per split p, in the sector where Cornacchia's
+element lies, and of those only the points whose parity classes (a mod 2,
+b mod 2) give an odd norm.  A range's accumulator is summed straight from
+its columns; its primes array and (n, 8) int64 record rows are built only
+when the caller keeps the records.  A range spans CHUNK_SPAN = 2^17
+integers, the fastest power of two measured (see there).
 """
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
@@ -43,11 +51,16 @@ from .eccurve import CmCurve
 from .frobenius import (
     KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
 )
-from .primesieve import divisors, euler_phi, factorize, primes_array
+from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array
 from .quadorder import OrderDesc, QuadInt, conj, content, kronecker, norm, unit_orbit
 
-# Each scan job covers this many consecutive integers.
-CHUNK_SPAN = 1 << 16
+# Each scan job covers this many consecutive integers.  A range costs about
+# c1*span + c2*sqrt(hi), for its sieve and for _split_points' arrays over
+# every b; 2^17 was the fastest power of two for D163 to 3*10^6 and D4 to
+# 10^6 with CSV (2^16 and 2^18 were 4-16% slower).  An int64 sum over one
+# range stays below 2^63: D163's top range below X_MAX_LIMIT sums e_p to
+# 3.6*10^18, 39% of 2^63.
+CHUNK_SPAN = 1 << 17
 
 # Scans stop below this bound: _isqrt is exact below 2^52 and the sweep
 # takes it of 4*hi.  The ranges are walked lazily, so no job list grows
@@ -207,30 +220,31 @@ def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
+def _split_points(od: OrderDesc, low: int, mask: np.ndarray):
     """(p, a, b): Cornacchia's element a + b*beta of norm p, once for each p
-    marked in usable[p - lo] that is a norm; the marked p must be odd primes
-    above 3.
+    that is a norm and that the odd-only mask marks, slot i standing for
+    low + 2i (primesieve.odd_mask); the marked p must be primes above 3.
 
     Writing u = 2a + t*b, 4 Nm(a + b*beta) = u^2 + |D| b^2.  Such a p has w
     points of norm p with b >= 1, and only one lies in the sector u > 0,
     and a > b if w > 2: for w = 2 the other has -u, and for D4 and D3 the
     sector is the smallest angle of the open quadrant.  For each b the
-    sector points with norm in [lo, hi] form one run of a, empty once the
-    sector's least norm exceeds hi.  Only the points of odd norm are
-    built: one run of step 2 per class of a mod 2 that _odd_classes allows
-    for b mod 2 (an even b always allows a odd), which drops half the
-    points for D4, a quarter for D3 and three quarters for D7.  The
-    element is the hit itself if a > 0, else (w = 2, t > 0) its conjugate
-    a + t*b - b*beta.  A marked p dividing D, |D| = p*m, has no point in
-    the sector: 4p >= |D| b^2 leaves b = 2, u = 0 (m = 1) or b = 1,
-    u^2 = (4 - m)p, and as p | u that needs u = 0 or p | 4 - m.
+    sector points with norm in [low, hi], hi the mask's last odd number,
+    form one run of a, empty once the sector's least norm exceeds hi.  Only
+    the points of odd norm are built: one run of step 2 per class of a mod
+    2 that _odd_classes allows for b mod 2 (an even b always allows a odd),
+    which drops half the points for D4, a quarter for D3 and three quarters
+    for D7; each norm's slot is (norm - low) / 2.  The element is the hit
+    itself if a > 0, else (w = 2, t > 0) its conjugate a + t*b - b*beta.  A
+    marked p dividing D, |D| = p*m, has no point in the sector: 4p >= |D| b^2
+    leaves b = 2, u = 0 (m = 1) or b = 1, u^2 = (4 - m)p, and as p | u that
+    needs u = 0 or p | 4 - m.
     """
-    hi = lo + len(usable) - 1
+    hi = low + 2 * (len(mask) - 1)
     t, n, D = od.beta_trace, od.beta_norm, -od.disc
     bmax = math.isqrt(4 * hi // D if od.w == 2 else hi // (1 + t + n))
     b = np.arange(1, bmax + 1, dtype=np.int64)
-    bottom = 4 * lo - D * b * b
+    bottom = 4 * low - D * b * b
     umax = _isqrt(4 * hi - D * b * b)
     umin = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 1)
     tb = t * b
@@ -255,8 +269,12 @@ def _split_points(od: OrderDesc, lo: int, usable: np.ndarray):
     norms += a
     norms *= a
     norms += n * b * b
-    hit = usable[norms - lo]
-    p, a, b = norms[hit], a[hit], b[hit]
+    slot = norms - low
+    slot >>= 1
+    # The hits' positions once, then one take per column: a boolean mask
+    # index would scan the whole mask once per column.
+    hit = np.flatnonzero(mask[slot])
+    p, a, b = norms.take(hit), a.take(hit), b.take(hit)
     flip = a <= 0
     return p, np.where(flip, a + t * b, a), np.where(flip, -b, b)
 
@@ -276,32 +294,31 @@ class Columns(NamedTuple):
     supersingular: tuple[np.ndarray, ...]
 
 
-def _sweep(curve: CmCurve, lo: int, primes: np.ndarray, guard: bool) -> Columns:
-    """The records of `primes`, the primes of one range from lo, as Columns.
+def _sweep(curve: CmCurve, lo: int, low: int, mask: np.ndarray, guard: bool) -> Columns:
+    """The records of the primes of one range from lo, as Columns; (low,
+    mask) is the range's primesieve.odd_mask, which the sweep clears.
 
-    The range bitmap marks the primes.  p <= 3 and the bad primes, p = 2
-    among them, leave it for dp_ep.  The ordinary primes and Cornacchia's
-    element of each come from _split_points on what is left, and
-    select_units, guarded if guard, picks each one's unit.  Once the
-    ordinary primes are cleared, the bitmap holds the supersingular ones,
-    in increasing p.
+    2, if lo is 2, and the marked 3 and bad primes go to dp_ep and leave
+    the mask.  The ordinary primes and Cornacchia's element of each come
+    from _split_points on what is left, and select_units, guarded if guard,
+    picks each one's unit.  Once the ordinary primes are cleared, the mask
+    holds the supersingular ones, in increasing p.
     """
-    hi = int(primes[-1]) if len(primes) else lo
-    usable = np.zeros(hi - lo + 1, dtype=bool)
-    usable[primes - lo] = True
-    scalar = [q for q in sorted({2, 3, *curve.bad_primes}) if lo <= q <= hi and usable[q - lo]]
+    # 2 has no slot; an odd q has one when low <= q <= the mask's last odd number.
+    odd = [q for q in sorted({3, *curve.bad_primes} - {2})
+           if 0 <= q - low < 2 * len(mask) and mask[(q - low) >> 1]]
     rows = []
-    for q in scalar:
+    for q in [2] * (lo == 2) + odd:
         r = dp_ep(q, curve)
         rows.append((r.p, KINDS.index(r.kind), r.a_p, r.pi_a, r.pi_b, r.N, r.d_p, r.e_p))
-        usable[q - lo] = False
+    mask[[(q - low) >> 1 for q in odd]] = False
     od = curve.order
-    p, a, b = _split_points(od, lo, usable)
+    p, a, b = _split_points(od, low, mask)
     a, b = select_units(curve, p, a, b, guard)
-    usable[p - lo] = False
+    mask[(p - low) >> 1] = False
     trace = 2 * a + b * od.beta_trace
     count, d = p + 1 - trace, np.gcd(a - 1, b)
-    ss = lo + np.flatnonzero(usable)
+    ss = mask_primes(low, mask)
     ss_count = ss + 1
     ss_d = _supersingular_dp(curve, ss)
     return Columns(
@@ -355,11 +372,15 @@ def _scan_chunk(curve: CmCurve, lo: int, hi: int, checkpoints: tuple[int, ...], 
     """The accumulator over the primes in [lo, hi] and, if keep, their
     record rows, or render(rows) if render is given; else None.
 
-    The accumulator comes straight from the sweep's Columns, and the
-    (n, 8) rows are built only if keep.  guard is passed to select_units.
+    The range is sieved once into an odd-only mask, which the sweep reads
+    and clears.  The accumulator comes straight from the sweep's Columns;
+    the primes array and the (n, 8) rows are built only if keep.  guard is
+    passed to select_units.
     """
-    primes = primes_array(hi, lo=lo)
-    cols = _sweep(curve, lo, primes, guard)
+    low, mask = odd_mask(hi, lo)
+    # Read out before the sweep clears the mask.
+    primes = mask_primes(low, mask, two=lo == 2) if keep else None
+    cols = _sweep(curve, lo, low, mask, guard)
     acc = _accumulator(cols, lo, hi, checkpoints)
     if not keep:
         return acc, None
@@ -385,16 +406,41 @@ def _pin(cpus) -> None:
         pass
 
 
-def _sweep_jobs(conn, jobs) -> None:
+def _send(out, obj) -> None:
+    """Write obj down a child's pipe, pickled whole first, so that an object
+    that fails to pickle sends nothing."""
+    out.write(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    out.flush()
+
+
+def _sweep_jobs(fd: int, jobs) -> None:
     """A child of scan: sweep jobs in order and send each one's (acc, kept)
-    over conn.  An exception is sent in place of its job's result and ends
-    the child; scan raises it when it reaches that range."""
-    with conn:
+    down the pipe fd.  An exception is sent in place of its job's result
+    and ends the child; scan raises it when it reaches that range."""
+    with open(fd, "wb") as out:
         try:
             for job in jobs:
-                conn.send(_scan_chunk(*job))
+                _send(out, _scan_chunk(*job))
         except Exception as err:
-            conn.send(err)
+            _send(out, err)
+
+
+def _fork(target, *args) -> int:
+    """Fork a child that runs target(*args), and return its pid.
+
+    The child leaves only by os._exit, with 0 once target returns and 1 if
+    anything escapes it, so it never unwinds into the caller's frames (say,
+    into a cleanup that removes the caller's output) and never flushes the
+    caller's buffered streams."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            target(*args)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 class WorkerLost(RuntimeError):
@@ -415,21 +461,22 @@ def scan(
     x_max so that only the first may be shorter; each job sieves its own
     range.  `workers` W processes sweep, the caller among them: job i goes
     to process i % W by a fixed round robin, and each process builds its
-    jobs one at a time from a lazy range.  Each of the W - 1 forked
-    children sends each result over its own pipe, blocking once the pipe
-    is full, so the backlog stays bounded.  The caller walks the jobs in
-    order, sweeping its own and receiving the others, merges the results
-    in increasing p and calls `records`, if given, with each range's (n, 8)
-    int64 record rows (_record_block), so memory does not grow with x_max.
+    jobs one at a time from a lazy range.  Each of the W - 1 children,
+    forked by os.fork (_fork), sends each result pickled down its own
+    os.pipe, blocking once the pipe is full, so the backlog stays bounded.
+    The caller walks the jobs in order, sweeping its own and receiving the
+    others, merges the results in increasing p and calls `records`, if
+    given, with each range's (n, 8) int64 record rows (_record_block), so
+    memory does not grow with x_max.
     Without `records` no range builds its rows: its accumulator comes from
     the sweep's columns alone.  `render` is applied to each range's rows
     in the process that swept it, and `records` receives its result
-    instead: that moves, say, CSV
-    formatting into the children, and only its result crosses back.  A
-    child's exception is raised when the walk reaches its range, after the
-    records of every earlier range; a child that dies without sending
-    raises WorkerLost.  On every exit the children are joined, and
-    terminated first if scan is failing.
+    instead: that moves, say, CSV formatting into the children, and only
+    its result crosses back.  A child's exception is raised when the walk
+    reaches its range, after the records of every earlier range; a child
+    that dies without sending all of a result raises WorkerLost.  On every
+    exit each child is reaped by os.waitpid, and sent SIGTERM first if scan
+    is failing.
     If the caller's affinity mask (usable_cpus) holds exactly W > 1 CPUs,
     process k runs on the k-th of them from its first range, and the
     caller's mask is restored on every exit.  With fewer or more CPUs, or
@@ -466,23 +513,30 @@ def scan(
     # short scan the two share one CPU for most of it.
     cpus = usable_cpus() if w > 1 else []
     pin = len(cpus) == w and hasattr(os, "sched_setaffinity")
-    # fork, not spawn: the children inherit their jobs, render and any
-    # rebound module name without pickling, and scan itself starts no thread.
-    ctx = multiprocessing.get_context("fork")
-    children, pipes = [], []
+    # The children inherit their jobs, render and any rebound module name
+    # at the fork, with no pickling, and scan itself starts no thread.
+    children, pipes, exit_codes = [], [], {}
+
+    def reap(pid):
+        # The child's exit code, negative for a signal; each child is reaped once.
+        if pid not in exit_codes:
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_codes[pid]
+
     acc = None
     try:
         for k in range(1, w):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            pipes.append(recv_end)
-            children.append(ctx.Process(target=_sweep_jobs, args=(send_end, jobs(his[k::w]))))
+            recv_end, send_end = os.pipe()
+            pipes.append(open(recv_end, "rb"))
             if pin:
                 # The child inherits this mask at the fork, before its first range.
                 _pin({cpus[k]})
-            children[-1].start()
-            # Closed before the next fork, so only child k holds this end and
-            # its death ends the pipe.
-            send_end.close()
+            try:
+                children.append(_fork(_sweep_jobs, send_end, jobs(his[k::w])))
+            finally:
+                # Closed before the next fork, so only child k holds this end
+                # and its death ends the pipe.
+                os.close(send_end)
         if pin:
             _pin({cpus[0]})
         for i, job in enumerate(jobs(his)):
@@ -491,12 +545,12 @@ def scan(
             else:
                 child = i % w - 1
                 try:
-                    got = pipes[child].recv()
-                except EOFError:
-                    children[child].join()
+                    got = pickle.load(pipes[child])
+                except (EOFError, pickle.UnpicklingError):
+                    # Nothing, or part of a result, before the pipe ended.
                     raise WorkerLost(
                         f"the worker sweeping [{job[1]}, {job[2]}] ended with exit code "
-                        f"{children[child].exitcode} before sending its result"
+                        f"{reap(children[child])} before sending its result"
                     ) from None
                 if isinstance(got, BaseException):
                     raise got
@@ -505,12 +559,13 @@ def scan(
             if keep:
                 records(kept)
     except BaseException:
-        for child in children:
-            child.terminate()
+        for pid in children:
+            if pid not in exit_codes:
+                os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for child in children:
-            child.join()
+        for pid in children:
+            reap(pid)
         for pipe in pipes:
             pipe.close()
         if pin:
@@ -619,10 +674,7 @@ def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
     inert = inert[[p * p <= x and kronecker(od.delta, p) == -1 for p in inert.tolist()]]
     count += congruent(*unit_orbit(inert, 0 * inert, od))
     for lo in range(5, x + 1, CHUNK_SPAN):
-        hi = min(lo + CHUNK_SPAN - 1, x)
-        usable = np.zeros(hi - lo + 1, dtype=bool)
-        usable[primes_array(hi, lo=lo) - lo] = True
-        _, a, b = _split_points(od, lo, usable)
+        _, a, b = _split_points(od, *odd_mask(min(lo + CHUNK_SPAN - 1, x), lo))
         count += congruent(*unit_orbit(a, b, od), *unit_orbit(a + t * b, -b, od))
     return count
 

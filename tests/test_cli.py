@@ -459,6 +459,31 @@ def test_scan_failure_in_a_worker_leaves_no_output(tmp_path, capsys, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+def test_child_that_exits_past_its_handler_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                            deadline):
+    # A SystemExit escapes the child's handler, which sends only an
+    # Exception.  The child still leaves by os._exit, without unwinding into
+    # the caller's --out cleanup, and the caller reports it lost: exit 1,
+    # one line on stderr, and no target and no temp file.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
+    lo, hi = 1632, 2332
+    parent, real = os.getpid(), stats._scan_chunk
+
+    def chunk(curve, lo_, hi_, *rest):
+        if lo_ == lo and os.getpid() != parent:
+            raise SystemExit(0)
+        return real(curve, lo_, hi_, *rest)
+
+    monkeypatch.setattr(stats, "_scan_chunk", chunk)
+    out = tmp_path / "r.csv"
+    got, stdout, err = run(
+        capsys, "scan", "--curve", "D4", "--xmax", "50000", "--workers", "2", "--out", str(out))
+    assert (got, stdout) == (1, "")
+    assert err == (f"error: the worker sweeping [{lo}, {hi}] ended with exit code 1 "
+                   "before sending its result\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_workers_default_to_the_usable_cores(monkeypatch):
     # cpu_count counts every core of the machine; affinity may allow fewer.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -479,6 +504,17 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, cmfactors.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # scan forks its workers by os.fork; importing multiprocessing cost the
+    # CLI's import about 5 ms.
+    src = os.path.dirname(os.path.dirname(cmfactors.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cmfactors.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import scan_records
 
-from cmfactors import frobenius, oracle
+from cmfactors import frobenius, frobrules, oracle
 from cmfactors.cli import main, oracle_mismatches
 from cmfactors.eccurve import CmCurve, curve_table, custom_curve, get_curve, random_point
 from cmfactors.frobenius import (
@@ -18,7 +18,7 @@ from cmfactors.frobenius import (
     frobenius_at,
     frobenius_by_sampling,
 )
-from cmfactors.frobrules import FrobeniusRule, format_rule, packaged_rules, parse_rules, rule_for
+from cmfactors.frobrules import FrobeniusRule, format_rule, parse_rules, rule_for
 from cmfactors.oracle import count_points, group_structure
 from cmfactors.primesieve import factorize, primes_upto
 from cmfactors.quadorder import QuadInt, conj, content, norm, order, trace
@@ -167,18 +167,57 @@ def test_sampling_past_count_bound_is_ambiguous(curve_d4, monkeypatch):
 
 def test_packaged_rules_cover_the_table_models():
     models = {(c.A, c.B, c.order.g, c.order.f) for c in curve_table()}
-    assert set(packaged_rules()) == models
-    assert all(rule_for(c) is not None for c in curve_table())
+    assert set(frobrules._packaged_fields()) == models
+    assert {rule_for(c).model for c in curve_table()} == models
+
+
+@pytest.fixture
+def fresh_rule_cache():
+    """rule_for's caches, empty for the test and emptied again after it."""
+    for cache in (frobrules._packaged_fields, frobrules._packaged_rule):
+        cache.cache_clear()
+    yield
+    for cache in (frobrules._packaged_fields, frobrules._packaged_rule):
+        cache.cache_clear()
+
+
+def test_rule_for_builds_only_its_models_rule(monkeypatch, fresh_rule_cache):
+    built = []
+
+    class Counted(FrobeniusRule):
+        def __init__(self, model, *rest):
+            built.append(model)
+            super().__init__(model, *rest)
+
+    monkeypatch.setattr(frobrules, "FrobeniusRule", Counted)
+    d163 = get_curve("D163")
+    model = (d163.A, d163.B, d163.order.g, d163.order.f)
+    assert rule_for(d163) is rule_for(d163) is not None
+    assert built == [model]
+
+
+def test_rule_for_checks_the_thirteen_orders_on_first_use(monkeypatch, fresh_rule_cache):
+    # A data file that lost the D163 line fails every lookup, that of D4 too.
+    parse = frobrules.parse_rules
+
+    def without_d163(text):
+        return {m: f for m, f in parse(text).items() if m[2] != -163}
+
+    monkeypatch.setattr(frobrules, "parse_rules", without_d163)
+    with pytest.raises(ValueError, match="do not cover the thirteen orders"):
+        rule_for(get_curve("D4"))
 
 
 def test_rule_residues_conjugation_closed_and_meet_each_orbit_once():
-    for model, rule in packaged_rules().items():
+    for rule in map(rule_for, curve_table()):
+        model = rule.model
         classes = set(rule.classes())
         assert rule.residues <= classes, model
         assert {rule.conj(r) for r in rule.residues} == rule.residues, model
         for orbit in rule.orbits():
             assert len(orbit & rule.residues) == 1, (model, sorted(orbit))
-        assert parse_rules(format_rule(rule))[model].residues == rule.residues
+        assert parse_rules(format_rule(rule)) == {
+            model: (rule.kind, rule.modulus, sorted(rule.residues))}
 
 
 def test_inconsistent_or_incomplete_rule_raises():

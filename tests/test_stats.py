@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -62,7 +61,7 @@ def test_scan_rejects_bound_past_limit(curve_d4, monkeypatch):
     # would hold about 1.7 * 10^10 tuples.  Should the check go, this span
     # makes one job, and the missing sieve fails it at once.
     monkeypatch.setattr(stats, "CHUNK_SPAN", 1 << 70)
-    monkeypatch.setattr(stats, "primes_array", None)
+    monkeypatch.setattr(stats, "odd_mask", None)
     for x in (stats.X_MAX_LIMIT, 10**20):
         with pytest.raises(ValueError, match="2\\^50"):
             scan(curve_d4, x)
@@ -138,6 +137,12 @@ def test_parallel_scan_matches_serial(curve_d4, monkeypatch):
     assert par_acc == serial_acc
 
 
+def _no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _span_ranges(x):
     """The [lo, hi] of scan's jobs for x at the current CHUNK_SPAN, in order."""
     return [(max(hi - stats.CHUNK_SPAN + 1, 2), hi)
@@ -177,7 +182,7 @@ def test_child_error_follows_the_earlier_ranges(curve_d4, monkeypatch, deadline,
     assert (err.value.p, str(err.value)) == (lo, f"ambiguous Frobenius candidates at p={lo}")
     assert len(blocks) == k
     assert all(np.array_equal(a, b) for a, b in zip(blocks, reference))
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_child_that_dies_names_its_range(curve_d4, monkeypatch, deadline):
@@ -188,7 +193,7 @@ def test_child_that_dies_names_its_range(curve_d4, monkeypatch, deadline):
     _fail_in_a_child(monkeypatch, lo, lambda lo, hi: os._exit(1))
     with pytest.raises(stats.WorkerLost, match=rf"\[{lo}, {hi}\] ended with exit code 1 "):
         scan(curve_d4, 5 * 10**4, workers=3)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
@@ -196,14 +201,14 @@ def test_scan_leaves_no_child_running(curve_d4, monkeypatch, deadline):
     # range while the children are still sweeping (or blocked on a full pipe).
     monkeypatch.setattr(stats, "CHUNK_SPAN", 701)
     assert scan(curve_d4, 5 * 10**4, workers=3).pi_x == 5133
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
     def sink(rows):
         raise KeyError("sink")
 
     with pytest.raises(KeyError, match="sink"):
         scan(curve_d4, 5 * 10**4, workers=3, records=sink)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @pytest.fixture
@@ -250,7 +255,7 @@ def test_scan_pins_each_process_to_its_own_cpu(curve_d4, monkeypatch, deadline, 
     with pytest.raises(AmbiguousFrobenius):
         scan(curve_d4, 5 * 10**4, workers=2, records=masks.append, render=where)
     assert os.sched_getaffinity(0) == original
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @pytest.mark.parametrize("mask, workers, refuse", [
@@ -277,7 +282,21 @@ def test_scan_without_placement_matches_serial(curve_d4, monkeypatch, deadline,
     monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
     assert scan_records(curve_d4, 5 * 10**4, checkpoints=[10**4], workers=workers) == reference
     assert calls == ([(0, {1}), (0, {0}), (0, {0, 1})] if refuse else [])
-    assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+def test_children_leave_the_callers_buffered_output_alone():
+    # A child leaves by os._exit alone, so the line that the caller holds in
+    # its stdout buffer at the forks is written once, by the caller.
+    src = os.path.dirname(os.path.dirname(stats.__file__))
+    code = ("from cmfactors import stats\n"
+            "from cmfactors.eccurve import get_curve\n"
+            "stats.CHUNK_SPAN = 701\n"
+            "print('before')\n"
+            "print('after', stats.scan(get_curve('D4'), 5 * 10**4, workers=3).pi_x)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "before\nafter 5133\n", "")
 
 
 def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
@@ -291,13 +310,13 @@ def test_scan_with_an_empty_chunk(curve_d4, monkeypatch):
 
 def test_scan_sieves_one_chunk_at_a_time(curve_d4, monkeypatch):
     spans = []
-    sieve = stats.primes_array
+    sieve = stats.odd_mask
 
     def recording(x, lo=2):
         spans.append(x - lo + 1)
         return sieve(x, lo)
 
-    monkeypatch.setattr(stats, "primes_array", recording)
+    monkeypatch.setattr(stats, "odd_mask", recording)
     acc = scan(curve_d4, 10**5, workers=1)
     assert acc.pi_x == 9592
     assert spans and max(spans) <= stats.CHUNK_SPAN
@@ -388,6 +407,41 @@ def test_column_accumulator_matches_the_records_folded(curve):
         acc, rows = _scan_chunk(curve, lo, hi, cps, True)
         assert acc == _fold(prime_records(rows), lo, hi, cps), (curve.label, lo, hi)
         assert _scan_chunk(curve, lo, hi, cps, False) == (acc, None), (curve.label, lo, hi)
+
+
+@pytest.mark.parametrize("curve", curve_table() + RULELESS, ids=lambda c: c.label)
+def test_sweep_at_the_edges_of_the_mask(curve, monkeypatch):
+    # The odd-only mask has no slot for 2 nor for an even lo, and 3 and the
+    # odd bad primes leave it for dp_ep.  Scans to 2, 3, 4 and 5, windows
+    # from an odd or even lo whose first or last slot is 3 or a bad prime,
+    # and scans whose ranges put it at every slot: dp_ep's records and
+    # accumulators, with and without rows.
+    for x in (2, 3, 4, 5):
+        cps = sorted({2, x})
+        assert scan_records(curve, x, checkpoints=cps) == _dp_ep_chunk(curve, 2, x, cps), x
+    for q in sorted({3, *curve.bad_primes} - {2}):
+        for lo, hi in ((q - 1, q), (q, q), (q - 1, q + 4), (q, q + 5), (q - 6, q), (q - 5, q + 1)):
+            lo, cps = max(lo, 2), (lo, q, hi)
+            acc, rows = _scan_chunk(curve, lo, hi, cps, True)
+            assert (acc, prime_records(rows)) == _dp_ep_chunk(curve, lo, hi, cps), (lo, hi)
+            assert _scan_chunk(curve, lo, hi, cps, False) == (acc, None), (lo, hi)
+        for span in (4, 5):
+            monkeypatch.setattr(stats, "CHUNK_SPAN", span)
+            for x in range(q, q + span):
+                assert scan_records(curve, x, checkpoints=[q]) == _dp_ep_chunk(curve, 2, x, [q])
+
+
+def test_top_range_sums_are_exact_in_int64():
+    # The accumulator sums a range's d_p and e_p in int64.  The top range of
+    # CHUNK_SPAN integers below X_MAX_LIMIT (of D163, whose arrays over b are
+    # the smallest) sums e_p to about 3.6 * 10^18, 39% of 2^63: each sum,
+    # and the checkpoint's, must equal the Python-int sum of its rows.
+    hi = stats.X_MAX_LIMIT - 1
+    acc, rows = _scan_chunk(get_curve("D163"), hi - stats.CHUNK_SPAN + 1, hi, (hi,), True)
+    d, e = (sum(rows[:, j].tolist()) for j in (6, 7))
+    assert (acc.sum_dp, acc.sum_ep) == (d, e)
+    assert acc.checkpoints == [(hi, d, e, len(rows))]
+    assert 2**61 < e < 2**62
 
 
 def test_scan_without_records_builds_no_rows(curve_d4, monkeypatch):
@@ -536,7 +590,7 @@ def test_sweep_generates_only_points_of_odd_norm(monkeypatch, label, share):
     od = curve.order
     t, n, D = od.beta_trace, od.beta_norm, -od.disc
     lo = 10**6 - stats.CHUNK_SPAN + 1
-    hi = int(stats.primes_array(10**6, lo=lo)[-1])  # the sweep's range ends at its last prime
+    hi = 10**6 - 1  # the sweep's range ends at its mask's last odd number
     _scan_chunk(curve, lo, 10**6, (), False)
     (a, b), = generated
     bmax = math.isqrt(4 * hi // D)
@@ -560,9 +614,9 @@ def test_split_points_are_cornacchia_elements():
         od = curve.order
         split = {p: solve_norm(p, od) for p in primes_upto(top) if p > 3 and od.disc % p}
         split = {p: (x.a, x.b) for p, x in split.items() if x is not None}
-        usable = np.zeros(top - 1, dtype=bool)
-        usable[np.array(list(split)) - 2] = True
-        p, a, b = stats._split_points(od, 2, usable)
+        low, mask = 3, np.zeros((top - 3) // 2 + 1, dtype=bool)
+        mask[(np.array(list(split)) - low) // 2] = True
+        p, a, b = stats._split_points(od, low, mask)
         assert sorted(p.tolist()) == sorted(split), curve.label
         assert {q: (x, y) for q, x, y in zip(p.tolist(), a.tolist(), b.tolist())} == split
 

@@ -103,7 +103,9 @@ def main(argv=None) -> int:
     DATA.write_text("".join(lines), encoding="utf-8")
     print(f"wrote {DATA.relative_to(ROOT)}")
 
-    frobrules.packaged_rules.cache_clear()
+    # rule_for reads these caches; the check must see the rules just written.
+    frobrules._packaged_fields.cache_clear()
+    frobrules._packaged_rule.cache_clear()
     total = 0
     for curve in curves:
         t0 = time.perf_counter()
