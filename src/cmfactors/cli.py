@@ -66,9 +66,10 @@ def _resolve_curve(args) -> CmCurve:
         except AmbiguousFrobenius as e:
             raise SystemExit2(f"custom curve failed validation at p={e.p}: ambiguous Frobenius")
         if mismatches:
-            p, rec, (_, _, n) = mismatches[0]
+            p, rec, (d, e, n) = mismatches[0]
             raise SystemExit2(
-                f"custom curve failed validation at p={p}: a_p={rec.a_p} but count gives {p + 1 - n}"
+                f"custom curve failed validation at p={p}: pipeline(d,e,N,a)="
+                f"({rec.d_p},{rec.e_p},{rec.N},{rec.a_p}) but oracle(d,e,N)=({d},{e},{n})"
             )
         return curve
     if not args.curve:

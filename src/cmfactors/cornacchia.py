@@ -1,4 +1,4 @@
-"""Splitting types and norm equations in the thirteen supported orders.
+"""Square roots mod p and norm equations in the thirteen supported orders.
 
 For a prime p, `solve_norm` runs one modified Cornacchia descent on the
 order's own discriminant D = f^2 * Delta: the square root of D mod p is the
@@ -10,28 +10,14 @@ from __future__ import annotations
 
 import math
 
-from .quadorder import OrderDesc, QuadInt, kronecker, norm, unit_orbit
+from .quadorder import OrderDesc, QuadInt, norm, unit_orbit
 
 # perfbench/tracing.py times these by rebinding them in this module.
 from .quadorder import conj, units  # noqa: F401
 
-SPLIT = "split"
-INERT = "inert"
-RAMIFIED = "ramified"
-
 
 class NoRoot(ValueError):
     """Raised by sqrt_mod when the argument is a quadratic nonresidue."""
-
-
-def splitting_type(p: int, order_desc: OrderDesc) -> str:
-    """How p decomposes in the field of the order (split/inert/ramified)."""
-    chi = kronecker(order_desc.delta, p)
-    if chi == 1:
-        return SPLIT
-    if chi == -1:
-        return INERT
-    return RAMIFIED
 
 
 def sqrt_mod(a: int, p: int) -> int:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cornacchia import SPLIT, solve_norm, splitting_type
+from .cornacchia import solve_norm
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
 from .frobrules import rule_for
 from .oracle import count_points, group_structure
-from .quadorder import QuadInt, content, trace, units
+from .quadorder import QuadInt, content, kronecker, trace, units
 
 # perfbench/tracing.py times this by rebinding it in this module.
 from .quadorder import conj  # noqa: F401
@@ -75,7 +75,7 @@ def classify(p: int, curve: CmCurve) -> str:
         return BAD
     if p <= 3:
         return SMALL
-    if splitting_type(p, curve.order) == SPLIT:
+    if kronecker(curve.order.delta, p) == 1:
         return ORDINARY
     return SUPERSINGULAR
 

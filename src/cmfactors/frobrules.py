@@ -82,12 +82,14 @@ class FrobeniusRule:
         self._units = np.zeros((2, len(self._known)), dtype=np.int64)
         self._units[:, at] = np.array(list(unit_for.values()), dtype=np.int64).reshape(-1, 2).T
 
-    def key(self, p: int, a: int, b: int) -> tuple[int, int]:
-        """The residue key of pi = a + b*beta (coordinates in the model's order)."""
-        od = self._order
+    def key(self, p, a, b):
+        """The residue key of pi = a + b*beta (coordinates in the model's order):
+        a pair of ints for ints, a pair of arrays for int64 arrays."""
+        od, M = self._order, self.modulus
         if self.kind == TRACE:
-            return (int(self._chi[(2 * a + b * od.beta_trace) % self.modulus]), p % TRACE_P_MODULUS)
-        return (a % self.modulus, od.f * b % self.modulus)
+            chi = self._chi[(2 * a + b * od.beta_trace) % M]
+            return (chi if isinstance(chi, np.ndarray) else int(chi), p % TRACE_P_MODULUS)
+        return (a % M, od.f * b % M)
 
     def _index(self, key):
         """Position of a key (or of arrays of key parts) in the flat tables."""
@@ -136,11 +138,8 @@ class FrobeniusRule:
         its unit.  Raises ValueError at the first element whose unit orbit
         has no allowed residue.
         """
-        od, M = self._order, self.modulus
-        if self.kind == TRACE:
-            idx = self._index((self._chi[(2 * a + b * od.beta_trace) % M], p % TRACE_P_MODULUS))
-        else:
-            idx = self._index((a % M, od.f * b % M))
+        od = self._order
+        idx = self._index(self.key(p, a, b))
         known = self._known[idx]
         if not known.all():
             bad = int(np.flatnonzero(~known)[0])

@@ -55,9 +55,12 @@ def _slices(lo: int, hi: int):
 
 
 def _mod(v, p: int):
-    """v mod p, in place on an int64 array (or on an int): equal to v % p for
-    every int64 v, and faster than % on an array."""
-    v -= v // p * p
+    """v mod p, in place on an int64 array (or on an int), with one
+    temporary: equal to v % p for every int64 v, and faster than % on an
+    array."""
+    q = v // p
+    q *= p
+    v -= q
     return v
 
 
@@ -95,13 +98,6 @@ def _exact_table(curve: CmCurve, p: int) -> tuple[np.ndarray, np.ndarray] | None
     return _table_squares, _table_cubic
 
 
-def _mod_of(v: np.ndarray, p: int) -> np.ndarray:
-    """v mod p for an int64 array v, as a fresh array; v is left as it is."""
-    q = v // p
-    q *= p
-    return v - q
-
-
 def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """#E(F_p), #roots of x^3 + Ax + B mod p, and over the last slice of x
     mod p (every x for p <= ENUMERATION_BOUND) rhs and whether it is a
@@ -116,8 +112,9 @@ def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.nda
         return _sliced_pass(curve, p)
     squares, cubic = table
     sq = np.zeros(p, dtype=bool)
-    sq[_mod_of(squares[1 : (p + 1) // 2], p)] = True
-    rhs = _mod_of(cubic[:p], p)
+    # The table is the cache's: reduce copies of its rows.
+    sq[_mod(squares[1 : (p + 1) // 2].copy(), p)] = True
+    rhs = _mod(cubic[:p].copy(), p)
     roots = p - int(np.count_nonzero(rhs))
     square = sq[rhs]
     return 1 + roots + 2 * int(np.count_nonzero(square)), roots, rhs, square

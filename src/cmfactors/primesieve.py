@@ -6,8 +6,8 @@ sqrt(x).  The base primes come from a per-process cache, filled on first
 need (never at import) by the same sieve and regrown to the next power of
 two of the root a larger window asks for.  Each base prime below
 SLICE_BELOW strikes one strided slice per segment; all larger ones strike a
-segment in one scatter, whose positions are built run by run as in
-stats._ranges.  A scan range of stats.CHUNK_SPAN integers is one segment.
+segment in one scatter, whose positions `runs` builds, one run per base
+prime.  A scan range of stats.CHUNK_SPAN integers is one segment.
 
 The mask is handed over as it is: the scan's sweep looks its lattice
 points' norms up in it and clears from it the primes it has classified, so
@@ -75,11 +75,17 @@ def _strike(mask: np.ndarray, low: int, base: np.ndarray) -> None:
     start += q * (1 - (start & 1))
     first = (start - low) >> 1
     counts = np.maximum((len(mask) - first + q - 1) // q, 0)
+    mask[runs(first, counts, q)] = False
+
+
+def runs(first: np.ndarray, counts: np.ndarray, step) -> np.ndarray:
+    """first[i] + step * j for j < counts[i], run i after run i - 1, as one
+    int64 array; step is one int for every run or an array of one per run."""
     before = np.cumsum(counts) - counts
-    at = np.arange(counts.sum(), dtype=np.int64)
-    at *= np.repeat(q, counts)
-    at += np.repeat(first - q * before, counts)
-    mask[at] = False
+    x = np.arange(counts.sum(), dtype=np.int64)
+    x *= np.repeat(step, counts) if np.ndim(step) else step
+    x += np.repeat(first - step * before, counts)
+    return x
 
 
 def odd_mask(x: int, lo: int = 2) -> tuple[int, np.ndarray]:

@@ -51,7 +51,7 @@ from .eccurve import CmCurve
 from .frobenius import (
     KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
 )
-from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array
+from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array, runs
 from .quadorder import OrderDesc, QuadInt, conj, content, kronecker, norm, unit_orbit
 
 # Each scan job covers this many consecutive integers.  A range costs about
@@ -201,11 +201,7 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 def _ranges(starts: np.ndarray, stops: np.ndarray, step: int, tags: np.ndarray):
     """(x, tag) for every x in range(starts[i], stops[i], step), tagged by tags[i]."""
     counts = np.maximum(-((starts - stops) // step), 0)
-    first = np.cumsum(counts) - counts
-    x = np.arange(counts.sum(), dtype=np.int64)
-    x *= step
-    x += np.repeat(starts - step * first, counts)
-    return x, np.repeat(tags, counts)
+    return runs(starts, counts, step), np.repeat(tags, counts)
 
 
 def _odd_classes(od: OrderDesc) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -339,9 +335,9 @@ def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator
                          counts=dict(zip(KINDS, counts.tolist())),
                          hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())))
     for x in sorted(x for x in checkpoints if lo <= x <= hi):
-        upto = p <= x
-        acc.checkpoints.append(
-            Checkpoint(x, int(d[upto].sum()), int(e[upto].sum()), int(upto.sum())))
+        # Weights 0 or 1: a dot product sums without compressing d and e.
+        upto = (p <= x).astype(np.int64)
+        acc.checkpoints.append(Checkpoint(x, int(d @ upto), int(e @ upto), int(upto.sum())))
     return acc
 
 

@@ -99,6 +99,15 @@ def test_verify_corrupted_entry_fails(capsys):
         "error: custom curve failed validation at p=5: ambiguous Frobenius\n")
 
 
+def test_custom_gate_names_both_structures(capsys):
+    # A Z[i] model claimed for the conductor-2 order: at p = 5 the group
+    # order agrees and the structure does not, so the message must show both.
+    code, stdout, err = run(capsys, "scan", "--custom=-4,0,-1,2", "--xmax", "100")
+    assert code == 2 and stdout == ""
+    assert err == ("error: custom curve failed validation at p=5: "
+                   "pipeline(d,e,N,a)=(1,4,4,2) but oracle(d,e,N)=(2,2,4)\n")
+
+
 @pytest.mark.parametrize("corrupt", ["supersingular-dp", "unit-selection"])
 def test_verify_checks_the_records_scan_writes(capsys, monkeypatch, corrupt):
     # A sweep that writes wrong values must fail verify: the oracle is

@@ -4,15 +4,11 @@ from collections import Counter
 
 import pytest
 
-from cmfactors import cornacchia
+from cmfactors import cornacchia, frobenius
 from cmfactors.cornacchia import (
-    INERT,
-    RAMIFIED,
-    SPLIT,
     NoRoot,
     _canonicalize,
     solve_norm,
-    splitting_type,
     sqrt_mod,
 )
 from cmfactors.eccurve import custom_curve, get_curve
@@ -34,9 +30,10 @@ O3 = order(-3)
 
 
 def test_splitting_examples():
-    assert splitting_type(5, O1) == SPLIT
-    assert splitting_type(7, O1) == INERT
-    assert splitting_type(2, O1) == RAMIFIED
+    # Split, inert and ramified in Z[i].
+    assert kronecker(O1.delta, 5) == 1
+    assert kronecker(O1.delta, 7) == -1
+    assert kronecker(O1.delta, 2) == 0
 
 
 def test_sqrt_mod_examples():
@@ -83,10 +80,10 @@ def test_solve_norm_small_split_primes():
     for od in maximal_orders():
         s = solve_norm(2, od)
         if od.g == -7:
-            assert splitting_type(2, od) == SPLIT
+            assert kronecker(od.delta, 2) == 1
             assert norm(s) == 2
         else:
-            assert splitting_type(2, od) != SPLIT
+            assert kronecker(od.delta, 2) != 1
             assert s is None, od
     s = solve_norm(3, order(-11))
     assert norm(s) == 3
@@ -107,7 +104,7 @@ def test_solve_norm_all_split_primes_to_1e5():
             if od.f > 1 and p <= 3:
                 continue
             result = solve_norm(p, od)
-            if splitting_type(p, od) == SPLIT:
+            if kronecker(od.delta, p) == 1:
                 assert result is not None, (od, p)
                 assert norm(result) == p, (od, p)
                 assert result.order == od
@@ -162,7 +159,7 @@ def test_scan_tests_splitting_once_per_prime(monkeypatch):
         calls.append(p)
         return sqrt_mod(a, p)
 
-    monkeypatch.setattr(cornacchia, "kronecker", counting_kronecker)
+    monkeypatch.setattr(frobenius, "kronecker", counting_kronecker)
     monkeypatch.setattr(cornacchia, "sqrt_mod", counting_sqrt_mod)
     curve = get_curve("D4")
     primes = primes_array(10**5).tolist()

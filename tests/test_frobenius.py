@@ -230,6 +230,25 @@ def test_inconsistent_or_incomplete_rule_raises():
         partial.select_arrays(*np.array([[13], [3], [2]]))
 
 
+@pytest.mark.parametrize("label,kind,bad", [("D4", "pi", (13, 2, 0, "(2, 0)")),
+                                            ("D163", "trace", (10007, 1, -2, "(0, 23)"))])
+def test_rule_key_on_arrays_matches_per_element_keys(label, kind, bad):
+    # select_arrays indexes its tables by key() on whole arrays; its error
+    # names the failing element's key as plain ints.
+    rule = rule_for(get_curve(label))
+    assert rule.kind == kind
+    rng = random.Random(3)
+    p, a, b = (np.array([rng.randint(lo, 10**6) for _ in range(500)], dtype=np.int64)
+               for lo in (5, -10**6, -10**6))
+    keys = [rule.key(*v) for v in zip(p.tolist(), a.tolist(), b.tolist())]
+    assert all(type(x) is int for k in keys for x in k)
+    assert list(zip(*(part.tolist() for part in rule.key(p, a, b)))) == keys
+    q, x, y, key = bad
+    with pytest.raises(ValueError) as err:
+        rule.select_arrays(*np.array([[q], [x], [y]], dtype=np.int64))
+    assert str(err.value) == f"no allowed residue in the unit orbit of key {key} at p={q}"
+
+
 def test_rule_path_agrees_with_sampling_to_1e5(all_curves):
     for curve in all_curves:
         for p in primes_upto(10**5):

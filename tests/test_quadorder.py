@@ -22,7 +22,6 @@ from cmfactors.quadorder import (
     phi_ideal,
     qi_mul,
     rep_count,
-    rep_count_bruteforce,
     trace,
     unit_orbit,
     units,
@@ -221,19 +220,7 @@ def test_rep_count_examples():
     assert rep_count(1, O1) == 4
     assert rep_count(5, O1) == 8
     assert rep_count(3, O1) == 0
-
-
-def test_rep_count_bruteforce_examples():
-    assert rep_count_bruteforce(1, O3) == 6
-    assert rep_count_bruteforce(2, O1) == 4
-    assert rep_count_bruteforce(7, O3) == 12
     assert rep_count(7, O3) == 12
-
-
-def test_rep_count_matches_bruteforce_sampled(rng):
-    for od in maximal_orders():
-        for m in [1, 2, 3, 4] + [rng.randint(1, 10**4) for _ in range(60)]:
-            assert rep_count(m, od) == rep_count_bruteforce(m, od), (od.g, m)
 
 
 def test_rep_count_nonmaximal_rejected():
