@@ -43,13 +43,6 @@ from .primesieve import primes_upto  # noqa: F401
 CSV_HEADER = "p,kind,a_p,pi_a,pi_b,N,d_p,e_p"
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("CMIF_SEED", "0"))
-    except ValueError:
-        raise SystemExit2(f"$CMIF_SEED must be an integer, got {os.environ['CMIF_SEED']!r}")
-
-
 def _resolve_curve(args) -> CmCurve:
     if args.custom and args.curve:
         raise SystemExit2("--custom cannot be combined with --curve")
@@ -206,10 +199,9 @@ def cmd_scan(args) -> int:
     outside = [x for x in checkpoints if not 2 <= x <= args.xmax]
     if outside:
         raise SystemExit2(f"checkpoint {outside[0]} lies outside [2, --xmax {args.xmax}]")
-    seed = args.seed if args.seed is not None else _default_seed()
     if not args.out:
         acc = scan(curve, args.xmax, checkpoints=checkpoints, workers=args.workers)
-        print(_summary_text(curve, seed, acc, args.xmax))
+        print(_summary_text(curve, args.seed, acc, args.xmax))
         return 0
     with _atomic_outputs(args.out) as (csv_fh, summary_fh):
         csv_fh.write(f"{CSV_HEADER}\n".encode())
@@ -221,7 +213,7 @@ def cmd_scan(args) -> int:
             records=csv_fh.write,
             render=_block_bytes,
         )
-        text = _summary_text(curve, seed, acc, args.xmax)
+        text = _summary_text(curve, args.seed, acc, args.xmax)
         summary_fh.write(f"{text}\n".encode())
     # One record per prime.
     print(f"wrote {acc.pi_x} records to {args.out}")
@@ -355,7 +347,7 @@ def cmd_bt(args) -> int:
 def cmd_trivlem(args) -> int:
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
-    rng = random.Random(args.seed if args.seed is not None else _default_seed())
+    rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.trials):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="scan primes up to a bound and export records")
     add_curve_args(sp)
     sp.add_argument("--xmax", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None, help="defaults to $CMIF_SEED or 0")
+    sp.add_argument("--seed", type=int, default=0, help="only recorded in the summary")
     sp.add_argument("--checkpoints", default="", help="comma-separated snapshot bounds")
     sp.add_argument("--out", default=None, help="records CSV path (summary goes to PATH.summary.json)")
     sp.add_argument("--workers", type=int, default=min(len(stats.usable_cpus()), stats.MAX_WORKERS),
@@ -420,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = aux.add_parser("trivlem", help="randomized squarefree-restriction inequality suite")
     s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_trivlem)
 
     return parser

@@ -8,7 +8,7 @@ brute-force point counts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .cornacchia import NoRoot, sqrt_mod
@@ -20,17 +20,33 @@ Point = tuple[int, int] | None
 
 @dataclass(frozen=True)
 class CmCurve:
-    """y^2 = x^3 + A x + B with CM by `order`, plus its model-level bad primes."""
+    """y^2 = x^3 + A x + B with CM by `order`, and what the model fixes.
+
+    Derived when the curve is built, so that a singular model fails here:
+    disc = -4A^3 - 27B^2, the discriminant of x^3 + Ax + B; bad_primes,
+    model_bad_primes(A, B); and odd_disc_primes, the primes that divide
+    disc to an odd power, in increasing order.
+    """
 
     label: str
     A: int
     B: int
     order: OrderDesc
-    bad_primes: frozenset[int]
+    disc: int = field(init=False)
+    bad_primes: frozenset[int] = field(init=False)
+    odd_disc_primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
-            raise ValueError("singular model: 4A^3 + 27B^2 = 0")
+        # model_bad_primes refuses a singular model; its primes cover disc.
+        bad = model_bad_primes(self.A, self.B)
+        disc = rest = -4 * self.A**3 - 27 * self.B**2
+        odd = set()
+        for q in bad:
+            while rest % q == 0:
+                rest, odd = rest // q, odd ^ {q}
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "bad_primes", bad)
+        object.__setattr__(self, "odd_disc_primes", tuple(sorted(odd)))
 
     def rhs(self, x: int, p: int) -> int:
         return (x * x % p * x + self.A * x + self.B) % p
@@ -60,7 +76,7 @@ def custom_curve(A: int, B: int, g: int, f: int = 1, label: str | None = None) -
     """
     if label is None:
         label = f"custom-{A}-{B}"
-    return CmCurve(label, A, B, order(g, f), model_bad_primes(A, B))
+    return CmCurve(label, A, B, order(g, f))
 
 
 def _parse_table(text: str) -> list[CmCurve]:
@@ -74,10 +90,10 @@ def _parse_table(text: str) -> list[CmCurve]:
             raise ValueError(f"malformed curve record: {line!r}")
         label, a_s, b_s, g_s, f_s, bad_s = parts
         A, B, g, f = int(a_s), int(b_s), int(g_s), int(f_s)
-        bad = frozenset(int(t) for t in bad_s.split(","))
-        if bad != model_bad_primes(A, B):
+        curve = CmCurve(label, A, B, order(g, f))
+        if frozenset(int(t) for t in bad_s.split(",")) != curve.bad_primes:
             raise ValueError(f"bad-prime set for {label} disagrees with the model")
-        curves.append(CmCurve(label, A, B, order(g, f), bad))
+        curves.append(curve)
     return curves
 
 
@@ -170,5 +186,4 @@ def cubic_splits(curve: CmCurve, p: int) -> bool:
     """
     if p <= 3 or p in curve.bad_primes:
         raise ValueError(f"p={p} is not usable for curve arithmetic on {curve.label}")
-    disc = -4 * curve.A**3 - 27 * curve.B**2
-    return pow(disc, (p - 1) // 2, p) == 1
+    return pow(curve.disc, (p - 1) // 2, p) == 1

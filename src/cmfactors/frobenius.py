@@ -23,10 +23,10 @@ from .cornacchia import solve_norm
 from .eccurve import CmCurve, _scalar_mul, cubic_splits, negate, random_point
 from .frobrules import rule_for
 from .oracle import count_points, group_structure
-from .quadorder import QuadInt, content, kronecker, trace, units
+from .quadorder import QuadInt, kronecker, unit_orbit
 
-# perfbench/tracing.py times this by rebinding it in this module.
-from .quadorder import conj  # noqa: F401
+# perfbench/tracing.py times these by rebinding them in this module.
+from .quadorder import conj, content, trace, units  # noqa: F401
 
 BAD = "bad"
 ORDINARY = "ord"
@@ -139,17 +139,19 @@ def frobenius_by_sampling(p: int, curve: CmCurve, pi0=None) -> tuple[QuadInt, in
     generator seeded by p; without `pi0`, solve_norm gives the norm-p element.
     """
     rng = random.Random(f"cmfactors:{p}")
+    od = curve.order
     if pi0 is None:
-        pi0 = solve_norm(p, curve.order)
+        pi0 = solve_norm(p, od)
     if pi0 is None:
         raise ValueError(f"p={p} is not ordinary for {curve.label}")
     cands = []
-    for u in units(curve.order):
-        c = u * pi0
-        t = trace(c)
+    # The unit multiples c = a + b*beta in units() order, on plain ints:
+    # Tr(c) = 2a + b*Tr(beta) and content(c - 1) = gcd(a - 1, b).
+    for a, b in unit_orbit(pi0.a, pi0.b, od):
+        t = 2 * a + b * od.beta_trace
         n = p + 1 - t
-        d = content(c - 1)
-        cands.append((c, t, n, d, n // d))
+        d = math.gcd(a - 1, b)
+        cands.append((QuadInt(a, b, od), t, n, d, n // d))
     # Full d-torsion forces d | p - 1 (Weil pairing); prune impossible claims.
     cands = [cd for cd in cands if (p - 1) % cd[3] == 0]
     a = curve.A % p

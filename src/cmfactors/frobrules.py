@@ -16,7 +16,7 @@ The packaged rules in data/frobenius.txt are keyed by the model
 (A, B, g, f): a twist that reuses a label, or any other model, has no
 rule.  They are data learned from the point-sampling path, which stays the
 exact slow path; the test suite checks them against it and the oracle.
-frobenius.select_units reads a rule's tables, which are built when it is made.
+frobenius.select_units reads a rule's table, which is built when it is made.
 """
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ Model = tuple[int, int, int, int]
 
 
 class FrobeniusRule:
-    """The allowed Frobenius residues of one model, with flat key -> unit tables.
+    """The allowed Frobenius residues of one model, with a flat key -> unit table.
 
     Raises ValueError if a unit orbit meets the allowed set more than once,
     since the rule would then not pick a unique unit.
     """
 
-    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_known", "_units")
+    __slots__ = ("model", "kind", "modulus", "residues", "_order", "_chi", "_units")
 
     def __init__(self, model: Model, kind: str, modulus: int, residues):
         _, _, g, f = model
@@ -69,7 +69,8 @@ class FrobeniusRule:
             else None
         )
         # Each class c = u*r in the orbit of an allowed residue r maps to u^-1 =
-        # conj(u) (units have norm 1), in the order's coordinates, at _index(c).
+        # conj(u) (units have norm 1), in the order's coordinates, at _index(c);
+        # every other key maps to (0, 0), which is no unit.
         unit_for: dict[tuple[int, int], tuple[int, int]] = {}
         for r in self.residues:
             for (ua, ub), c in zip(unit_orbit(1, 0, od), self.orbit(r)):
@@ -77,9 +78,8 @@ class FrobeniusRule:
                 if unit_for.setdefault(c, inv) != inv:
                     raise ValueError(f"residues {sorted(self.residues)} meet a unit orbit twice")
         at = [self._index(c) for c in unit_for]
-        self._known = np.zeros(3 * TRACE_P_MODULUS if kind == TRACE else modulus**2, dtype=bool)
-        self._known[at] = True
-        self._units = np.zeros((2, len(self._known)), dtype=np.int64)
+        self._units = np.zeros((2, 3 * TRACE_P_MODULUS if kind == TRACE else modulus**2),
+                               dtype=np.int64)
         self._units[:, at] = np.array(list(unit_for.values()), dtype=np.int64).reshape(-1, 2).T
 
     def key(self, p, a, b):
@@ -134,20 +134,20 @@ class FrobeniusRule:
     def select_arrays(self, p: np.ndarray, a: np.ndarray, b: np.ndarray):
         """The allowed unit multiples of a + b*beta over int64 arrays, as arrays.
 
-        Each element is one lookup in the flat tables and one product with
+        Each element is one lookup in the flat table and one product with
         its unit.  Raises ValueError at the first element whose unit orbit
-        has no allowed residue.
+        has no allowed residue, which the table marks with (0, 0).
         """
         od = self._order
-        idx = self._index(self.key(p, a, b))
-        known = self._known[idx]
-        if not known.all():
-            bad = int(np.flatnonzero(~known)[0])
+        ua, ub = self._units.take(self._index(self.key(p, a, b)), axis=1)
+        # Nonzero exactly where the table holds a unit.
+        unit = ua | ub
+        if not unit.all():
+            bad = int(np.flatnonzero(unit == 0)[0])
             key = self.key(int(p[bad]), int(a[bad]), int(b[bad]))
             raise ValueError(
                 f"no allowed residue in the unit orbit of key {key} at p={int(p[bad])}"
             )
-        ua, ub = self._units.take(idx, axis=1)
         bb = ub * b
         return ua * a - bb * od.beta_norm, ua * b + ub * a + bb * od.beta_trace
 

@@ -158,34 +158,17 @@ def _squares(q: int) -> np.ndarray:
     return table
 
 
-def _odd_disc_primes(curve: CmCurve) -> list[int]:
-    """The primes that divide the discriminant -4A^3 - 27B^2 to an odd power.
-
-    Raises ValueError if the bad primes do not cover the discriminant, or
-    if an odd one passes SQUARES_BOUND, the largest table of squares."""
-    disc, odd = -4 * curve.A**3 - 27 * curve.B**2, set()
-    for q in curve.bad_primes:
-        while disc % q == 0:
-            disc, odd = disc // q, odd ^ {q}
-    if abs(disc) != 1:
-        raise ValueError(f"the bad primes of {curve.label} do not cover its discriminant")
-    if odd and max(odd) > SQUARES_BOUND:
-        raise ValueError(f"the discriminant of {curve.label} has an odd power of "
-                         f"{max(odd)}, past the table-of-squares bound {SQUARES_BOUND}")
-    return sorted(odd)
-
-
 def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
     """d_p of the curve at good supersingular primes p > 3, by table lookups.
 
     As in dp_ep, d_p = 2 exactly when p = 3 (mod 4) and (disc/p) = 1
     (eccurve.cubic_splits).  The primes dividing disc are bad, so (disc/p)
-    is (-1/p) if disc < 0 times (q/p) over the bad q dividing disc to an
-    odd power.  For p = 3 (mod 4), (-1/p) = -1, (2/p) = 1 iff p = 7 (mod 8)
-    and, by reciprocity, (q/p) = (-p/q) for odd q: a lookup in a table of size q.
+    is (-1/p) if disc < 0 times (q/p) over curve.odd_disc_primes.  For
+    p = 3 (mod 4), (-1/p) = -1, (2/p) = 1 iff p = 7 (mod 8) and, by
+    reciprocity, (q/p) = (-p/q) for odd q: a lookup in a table of size q.
     """
-    nonsquare = np.full(len(p), 4 * curve.A**3 + 27 * curve.B**2 > 0)
-    for q in _odd_disc_primes(curve):
+    nonsquare = np.full(len(p), curve.disc < 0)
+    for q in curve.odd_disc_primes:
         nonsquare ^= p % 8 == 3 if q == 2 else ~_squares(q)[-p % q]
     return np.where((p % 4 == 3) & ~nonsquare, 2, 1)
 
@@ -481,18 +464,21 @@ def scan(
     accumulator are the same at any worker count and chunk span.  Past
     RULES_CHECKED_TO, the top range, a full one, is swept with
     select_units' guard, in the process that sweeps it.
-    x_max must lie below X_MAX_LIMIT and workers must not pass MAX_WORKERS;
-    either, or a model that _odd_disc_primes refuses, raises ValueError
-    before any job is built.
+    x_max must lie below X_MAX_LIMIT and workers in [1, MAX_WORKERS]; either,
+    or a model whose discriminant has an odd power of a prime past
+    SQUARES_BOUND, raises ValueError before any job is built.
     """
     if not 2 <= x_max < X_MAX_LIMIT:
         raise ValueError(f"x_max must lie in [2, 2^50), got {x_max}")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must not pass {MAX_WORKERS}, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    odd = curve.odd_disc_primes
+    if odd and odd[-1] > SQUARES_BOUND:
+        raise ValueError(f"the discriminant of {curve.label} has an odd power of "
+                         f"{odd[-1]}, past the table-of-squares bound {SQUARES_BOUND}")
     cps = tuple(sorted(set(int(x) for x in checkpoints)))
     keep = records is not None
     guard = x_max > RULES_CHECKED_TO
-    _odd_disc_primes(curve)
     # Loaded here, before any fork, the model's rule is inherited by every child.
     select_units(curve, *np.zeros((3, 0), dtype=np.int64))
     span = CHUNK_SPAN
@@ -503,7 +489,7 @@ def scan(
         for hi in part:
             yield curve, max(hi - span + 1, 2), hi, cps, keep, render, guard and hi == x_max
 
-    w = max(1, min(workers, len(his)))
+    w = min(workers, len(his))
     # One CPU per process when the mask has exactly w of them.  Unpinned, a
     # child's pipe write wakes the caller onto the child's CPU, and on a
     # short scan the two share one CPU for most of it.

@@ -255,29 +255,6 @@ def test_missing_required_args_exit_2():
     assert exc.value.code == 2
 
 
-def test_env_seed_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CMIF_SEED", "77")
-    out = tmp_path / "r.csv"
-    code, stdout, _ = run(capsys, "scan", "--curve", "D4", "--xmax", "10", "--out", str(out))
-    assert code == 0
-    assert json.loads((tmp_path / "r.csv.summary.json").read_text())["seed"] == 77
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["scan", "--curve", "D4", "--xmax", "10"], ["aux", "trivlem", "--trials", "3"]],
-    ids=["scan", "trivlem"],
-)
-def test_malformed_env_seed_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setenv("CMIF_SEED", "abc")
-    code, stdout, err = run(capsys, *argv)
-    assert code == 2
-    assert err == "error: $CMIF_SEED must be an integer, got 'abc'\n"
-    assert stdout == ""
-    # The variable is read only when --seed is absent.
-    assert run(capsys, *argv, "--seed", "5")[0] == 0
-
-
 def test_custom_twist_by_large_prime_scans(capsys):
     # x^3 - 1000003x: its bad primes come from A, not from 4|A|^3.
     code, stdout, _ = run(capsys, "scan", "--custom=-1000003,0,-1,1", "--xmax", "20000")

@@ -1,18 +1,26 @@
+import os
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmfactors.eccurve import (
+    CmCurve,
     _add,
     _parse_table,
     _scalar_mul,
     cubic_splits,
+    custom_curve,
     get_curve,
     model_bad_primes,
     random_point,
 )
 from cmfactors.oracle import enumerate_points
-from cmfactors.primesieve import primes_upto
+from cmfactors.primesieve import factorize, primes_upto
+from cmfactors.quadorder import order
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
 def test_table_covers_thirteen_orders(all_curves):
@@ -42,6 +50,40 @@ def test_model_bad_primes():
     # of factorize's reach, the coefficient is not.
     assert model_bad_primes(-1000003, 0) == frozenset({2, 1000003})
     assert model_bad_primes(0, 1000003) == frozenset({2, 3, 1000003})
+
+
+def assert_model_facts(curve):
+    """The curve's derived facts against a factorisation of its whole discriminant."""
+    disc = -4 * curve.A**3 - 27 * curve.B**2
+    fac = factorize(abs(disc))
+    assert curve.disc == disc, curve.label
+    assert curve.bad_primes == {2} | {q for q, _ in fac}, curve.label
+    assert curve.odd_disc_primes == tuple(q for q, e in fac if e % 2), curve.label
+
+
+def test_derived_model_facts(all_curves, curve_d4, monkeypatch):
+    monkeypatch.syspath_prepend(TOOLS)
+    from sweep_check import TWISTS
+    from test_oracle import _curves_without_cm
+
+    curves = [*all_curves, *(custom_curve(*m) for m in TWISTS), *_curves_without_cm(curve_d4)]
+    for curve in curves:
+        assert_model_facts(curve)
+    assert [c.odd_disc_primes for c in curves[:3]] == [(3,), (), (7,)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-300, 300), st.integers(-300, 300))
+def test_derived_model_facts_of_small_models(A, B):
+    assume(4 * A**3 + 27 * B**2 != 0)
+    assert_model_facts(CmCurve("small", A, B, order(-1, 1)))
+
+
+def test_singular_model_fails_at_construction():
+    # 4(-3)^3 + 27 * 2^2 = 0: x^3 - 3x + 2 = (x - 1)^2 (x + 2).
+    for A, B in ((-3, 2), (0, 0)):
+        with pytest.raises(ValueError, match="singular"):
+            CmCurve("singular", A, B, order(-1, 1))
 
 
 def test_group_law_examples(curve_d4):

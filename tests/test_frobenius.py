@@ -262,7 +262,7 @@ def test_rule_path_agrees_with_sampling_to_1e5(all_curves):
 def test_twisted_table_model_takes_sampling_path(capsys, monkeypatch):
     # y^2 = x^3 - 4x is the quadratic twist of j1728-D4 by 2: same label and
     # order, different Frobenius, so the D4 rule must not apply to it.
-    twist = CmCurve("j1728-D4", -4, 0, order(-1, 1), frozenset({2}))
+    twist = CmCurve("j1728-D4", -4, 0, order(-1, 1))
     assert rule_for(twist) is None
     sampled = []
     monkeypatch.setattr(

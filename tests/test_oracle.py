@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmfactors import oracle
-from cmfactors.eccurve import CmCurve, _scalar_mul, get_curve, model_bad_primes
+from cmfactors.eccurve import CmCurve, _scalar_mul, get_curve
 from cmfactors.frobenius import dp_ep
 from cmfactors.oracle import (
     COUNT_BOUND,
@@ -326,7 +326,7 @@ def _curves_without_cm(curve_d4):
             A, B = rng.randint(-60, 60), rng.randint(-60, 60)
             if 4 * A**3 + 27 * B**2:
                 break
-        curves.append(CmCurve(f"random-{i}", A, B, curve_d4.order, model_bad_primes(A, B)))
+        curves.append(CmCurve(f"random-{i}", A, B, curve_d4.order))
     return curves
 
 
@@ -387,7 +387,7 @@ def test_exact_table_is_built_lazily_and_held_for_one_curve(all_curves):
 def test_large_model_takes_the_sliced_pass(monkeypatch):
     # At L = 2^17, A x reaches 2^64 > 2^63: no exact int64 table for this model.
     A = 2**47
-    curve = CmCurve("large", A, 0, get_curve("D4").order, model_bad_primes(A, 0))
+    curve = CmCurve("large", A, 0, get_curve("D4").order)
     assert 2**51 + A * 2**17 >= 2**63 and curve.bad_primes == {2}
     assert oracle._exact_table(curve, 5) is None
     sliced, passes = oracle._sliced_pass, []

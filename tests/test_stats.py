@@ -68,9 +68,12 @@ def test_scan_rejects_bound_past_limit(curve_d4, monkeypatch):
 
 
 def test_scan_rejects_workers_past_limit(curve_d4):
-    # A bound of 100 is one range, so nothing would fork without the check.
-    with pytest.raises(ValueError, match="workers"):
-        scan(curve_d4, 100, workers=stats.MAX_WORKERS + 1)
+    # A bound of 100 is one range, so nothing would fork without the check,
+    # and a count below 1 would run serially.
+    for workers in (0, -1, stats.MAX_WORKERS + 1):
+        with pytest.raises(ValueError, match=rf"^workers must lie in \[1, {stats.MAX_WORKERS}\], "
+                                             rf"got {workers}$"):
+            scan(curve_d4, 100, workers=workers)
 
 
 def test_merge_equals_monolithic(curve_d4, monkeypatch):
