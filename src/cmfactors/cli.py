@@ -165,8 +165,10 @@ def _atomic_outputs(path: str):
 
     They are renamed into place only if the body completes; on any
     exception they are removed, so no partial target is left behind.
-    An unusable PATH raises SystemExit2 before the body runs.
+    An unusable or empty PATH raises SystemExit2 before the body runs.
     """
+    if not path:
+        raise SystemExit2("--out: empty path")
     if os.path.isdir(path):
         raise SystemExit2(f"--out {path}: is a directory")
     targets = (path, path + ".summary.json")
@@ -199,7 +201,7 @@ def cmd_scan(args) -> int:
     outside = [x for x in checkpoints if not 2 <= x <= args.xmax]
     if outside:
         raise SystemExit2(f"checkpoint {outside[0]} lies outside [2, --xmax {args.xmax}]")
-    if not args.out:
+    if args.out is None:
         acc = scan(curve, args.xmax, checkpoints=checkpoints, workers=args.workers)
         print(_summary_text(curve, args.seed, acc, args.xmax))
         return 0

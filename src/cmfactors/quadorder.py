@@ -6,9 +6,10 @@ module implements elements of those orders in the integral basis {1, beta}
 with beta = f*omega, together with norm, trace, conjugation, content,
 the Kronecker symbol, the unit-group tables, and the two counting formulas
 
-    Phi(d) = #(O_K / d O_K)^x          (Euler product over primes dividing d)
-    r(m)   = w * sum_{e | m} (Delta/e)  (lattice points of norm m)
+    Phi(mu) = #(O_K / mu O_K)^x         (Euler product over primes P | mu)
+    r(m)    = w * sum_{e | m} (Delta/e)  (lattice points of norm m)
 
+phi_element is Phi's one closed form; phi_ideal(d) is its case mu = d.
 Everything here is pure and immutable.  `order` and `units` are cached, so
 each order and unit table is built once per process.  The acceptance tests
 check rep_count against a count over the whole lattice disk (criterion 7).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 
 from .primesieve import factorize
 
@@ -40,6 +42,7 @@ ORDER_PARAMS = (
 COEFF_LIMIT = 1 << 63
 
 
+@dataclass(frozen=True)
 class OrderDesc:
     """An imaginary quadratic order of class number one.
 
@@ -53,41 +56,29 @@ class OrderDesc:
             beta = f*omega, so that beta^2 = beta_trace*beta - beta_norm.
     """
 
-    __slots__ = ("g", "f", "delta", "disc", "w", "beta_trace", "beta_norm")
+    g: int
+    f: int = 1
+    delta: int = field(init=False, repr=False, compare=False)
+    disc: int = field(init=False, repr=False, compare=False)
+    w: int = field(init=False, repr=False, compare=False)
+    beta_trace: int = field(init=False, repr=False, compare=False)
+    beta_norm: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, g: int, f: int = 1):
+    def __post_init__(self):
+        g, f = self.g, self.f
         if (g, f) not in _ORDER_SET:
             raise ValueError(f"(g={g}, f={f}) is not a class-number-one order")
-        self.g = g
-        self.f = f
-        self.delta = g if g % 4 == 1 else 4 * g
-        self.disc = f * f * self.delta
-        if (g, f) == (-1, 1):
-            self.w = 4
-        elif (g, f) == (-3, 1):
-            self.w = 6
-        else:
-            self.w = 2
-        if g % 4 == 1:
-            # omega = (1 + sqrt(g))/2, so Tr(omega) = 1, Nm(omega) = (1-g)/4.
-            self.beta_trace = f
-            self.beta_norm = f * f * (1 - g) // 4
-        else:
-            # omega = sqrt(g).
-            self.beta_trace = 0
-            self.beta_norm = f * f * (-g)
+        delta = g if g % 4 == 1 else 4 * g
+        # omega = (1 + sqrt(g))/2, of trace 1 and norm (1-g)/4, if g = 1 mod 4; else sqrt(g).
+        beta_trace, beta_norm = (f, f * f * (1 - g) // 4) if g % 4 == 1 else (0, f * f * (-g))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "disc", f * f * delta)
+        object.__setattr__(self, "w", {(-1, 1): 4, (-3, 1): 6}.get((g, f), 2))
+        object.__setattr__(self, "beta_trace", beta_trace)
+        object.__setattr__(self, "beta_norm", beta_norm)
 
     def is_maximal(self) -> bool:
         return self.f == 1
-
-    def __eq__(self, other):
-        return isinstance(other, OrderDesc) and (self.g, self.f) == (other.g, other.f)
-
-    def __hash__(self):
-        return hash((self.g, self.f))
-
-    def __repr__(self):
-        return f"OrderDesc(g={self.g}, f={self.f})"
 
 
 _ORDER_SET = frozenset(ORDER_PARAMS)
@@ -107,26 +98,13 @@ def maximal_orders() -> list[OrderDesc]:
     return [order(g, 1) for g in FIELD_PARAMS]
 
 
+@dataclass(frozen=True, slots=True)
 class QuadInt:
     """Element a + b*beta of an order, in the integral basis {1, beta}."""
 
-    __slots__ = ("a", "b", "order")
-
-    def __init__(self, a: int, b: int, order: OrderDesc):
-        self.a = a
-        self.b = b
-        self.order = order
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadInt)
-            and self.a == other.a
-            and self.b == other.b
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.order))
+    a: int
+    b: int
+    order: OrderDesc
 
     def __repr__(self):
         return f"QuadInt({self.a}, {self.b}, g={self.order.g}, f={self.order.f})"
@@ -239,17 +217,32 @@ def _kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def phi_element(mu: QuadInt) -> int:
+    """Phi of the principal ideal (mu): the unit count of O_K / mu O_K.
+
+    Nm(mu) times 1 - 1/N(P) over the prime ideals P | mu: P = (p) for an
+    inert p, one P of norm p for a ramified p, and for a split p one, or
+    both if p | content(mu)."""
+    if not mu.order.is_maximal():
+        raise ValueError("maximal orders only")
+    n = norm(mu)
+    if n == 0:
+        raise ValueError("Phi of the zero ideal is undefined")
+    result = n
+    for p, _ in factorize(n):
+        chi = kronecker(mu.order.delta, p)
+        q = p * p if chi == -1 else p
+        result = result // q * (q - 1)
+        if chi == 1 and content(mu) % p == 0:
+            result = result // p * (p - 1)
+    return result
+
+
 def phi_ideal(d: int, order: OrderDesc) -> int:
     """Phi(d) = #(O_K/dO_K)^x = d^2 prod_{l|d} (1 - 1/l)(1 - (Delta/l)/l)."""
-    if not order.is_maximal():
-        raise ValueError("phi_ideal is defined for maximal orders only")
     if d < 1:
         raise ValueError("d must be positive")
-    result = d * d
-    for ell, _ in factorize(d):
-        chi = kronecker(order.delta, ell)
-        result = result * (ell - 1) * (ell - chi) // (ell * ell)
-    return result
+    return phi_element(QuadInt(d, 0, order))
 
 
 def rep_count(m: int, order: OrderDesc) -> int:

@@ -4,7 +4,8 @@ Covers the scan (a streaming fold over fixed ranges of p whose mergeable
 accumulators are combined in order as the ranges complete; the records go
 to a caller's sink, never into one list), the exact divisor decomposition
 of sum d_p, the Brun-Titchmarsh prime-element counter (fed by the same
-sweep, with Phi and comaximality in closed form), the Schur and Wintner
+sweep, with comaximality in closed form and quadorder.phi_element's Phi
+for its ratio), the Schur and Wintner
 mean-value sums and the squarefree restriction inequality.
 Identity checks use exact integer or rational arithmetic; only diagnostic
 ratios go through floating point.
@@ -52,7 +53,7 @@ from .frobenius import (
     KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
 )
 from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array, runs
-from .quadorder import OrderDesc, QuadInt, conj, content, kronecker, norm, unit_orbit
+from .quadorder import OrderDesc, QuadInt, conj, kronecker, norm, phi_element, unit_orbit
 
 # Each scan job covers this many consecutive integers.  A range costs about
 # c1*span + c2*sqrt(hi), for its sieve and for _split_points' arrays over
@@ -576,27 +577,6 @@ def decomposition_check(curve: CmCurve, x: int) -> tuple[int, int, bool]:
 
 
 # --- Brun-Titchmarsh prime-element counting ---------------------------------
-
-
-def phi_element(mu: QuadInt) -> int:
-    """Phi of the principal ideal (mu): the unit count of O_K / mu O_K.
-
-    Nm(mu) times 1 - 1/N(P) over the prime ideals P | mu: P = (p) for an
-    inert p, one P of norm p for a ramified p, and for a split p one, or
-    both if p | content(mu)."""
-    if not mu.order.is_maximal():
-        raise ValueError("maximal orders only")
-    n = norm(mu)
-    if n == 0:
-        raise ValueError("Phi of the zero ideal is undefined")
-    result = n
-    for p, _ in factorize(n):
-        chi = kronecker(mu.order.delta, p)
-        q = p * p if chi == -1 else p
-        result = result // q * (q - 1)
-        if chi == 1 and content(mu) % p == 0:
-            result = result // p * (p - 1)
-    return result
 
 
 def comaximal(mu: QuadInt, alpha: QuadInt) -> bool:

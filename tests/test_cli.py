@@ -59,6 +59,14 @@ def test_scan_xmax_4(tmp_path, capsys):
     assert json.loads((tmp_path / "r.csv.summary.json").read_text())["sum_dp"] == 2
 
 
+def test_scan_empty_out_path_exit_2(tmp_path, monkeypatch, capsys):
+    # An empty --out is a path that names no file, not a request for stdout only.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "scan", "--curve", "D4", "--xmax", "100", "--out", "")
+    assert (code, stdout, err) == (2, "", "error: --out: empty path\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_scan_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmfactors.cornacchia import solve_norm
+from cmfactors.eccurve import curve_table
 from cmfactors.oracle import group_structure
 from cmfactors.quadorder import (
     FIELD_PARAMS,
     ORDER_PARAMS,
+    OrderDesc,
     QuadInt,
     all_orders,
     conj,
@@ -55,6 +59,41 @@ def test_unknown_order_rejected():
         order(-5, 1)
     with pytest.raises(ValueError):
         order(-1, 3)
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    assert order(-1) == order(-1, 1) and hash(order(-1)) == hash(order(-1, 1))
+    # A fresh OrderDesc equals the cached one and derives the same facts.
+    fresh = OrderDesc(-7, 2)
+    assert fresh is not order(-7, 2) and fresh == order(-7, 2) and hash(fresh) == hash(order(-7, 2))
+    assert (fresh.delta, fresh.disc, fresh.w, fresh.beta_trace, fresh.beta_norm) == (-7, -28, 2, 2, 8)
+    assert order(-7) != order(-7, 2)
+    assert QuadInt(1, 2, O1) == QuadInt(1, 2, order(-1, 1)) != QuadInt(1, 2, order(-1, 2))
+    assert hash(QuadInt(1, 2, O1)) == hash(QuadInt(1, 2, order(-1, 1)))
+    assert QuadInt(3, 0, O1) != 3
+    assert repr(order(-7, 2)) == "OrderDesc(g=-7, f=2)"
+    assert repr(QuadInt(1, 2, O1)) == "QuadInt(1, 2, g=-1, f=1)"
+    with pytest.raises(ValueError, match=r"\(g=-5, f=1\) is not a class-number-one order"):
+        OrderDesc(-5)
+
+
+def test_value_types_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        order(-1).w = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        QuadInt(1, 2, O1).a = 0
+
+
+def test_value_types_survive_pickle():
+    # The scan pickles its chunk arguments, each curve and its order among them.
+    curves = curve_table()
+    assert len(curves) == 13
+    for curve in curves:
+        back = pickle.loads(pickle.dumps(curve))
+        assert back == curve and back.order.beta_norm == curve.order.beta_norm, curve.label
+        assert back.disc == curve.disc and back.odd_disc_primes == curve.odd_disc_primes
+    x = QuadInt(-3, 5, order(-7, 2))
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_mul_examples():

@@ -15,7 +15,7 @@ from cmfactors.frobenius import BAD, KINDS, SMALL, AmbiguousFrobenius, classify,
 from cmfactors.cornacchia import solve_norm
 from cmfactors.frobrules import FrobeniusRule
 from cmfactors.primesieve import euler_phi, factorize, primes_upto
-from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_ideal
+from cmfactors.quadorder import QuadInt, maximal_orders, norm, order, phi_element
 from cmfactors import frobenius, stats
 from cmfactors.stats import (
     _scan_chunk,
@@ -25,7 +25,6 @@ from cmfactors.stats import (
     decomposition_check,
     li,
     merge,
-    phi_element,
     scan,
     schur_sum,
     trivlem_check,
@@ -561,6 +560,18 @@ def test_ranges_matches_python_ranges():
             assert list(zip(x.tolist(), t.tolist())) == want, (starts, stops, step)
 
 
+def test_isqrt_is_exact_below_2_52():
+    # _split_points takes _isqrt of 4*hi up to X_MAX_LIMIT = 2^50: check the
+    # square boundaries k^2 - 1, k^2, k^2 + 2k where float rounding bites,
+    # for k up to 2^26 - 1, whose k^2 + 2k is 2^52 - 1.
+    ks = [1, 2, 3] + [k + i for k in (1 << 13, 1 << 25) for i in (-1, 0, 1)] + [(1 << 26) - j for j in (1, 2)]
+    n = [m for k in ks for m in (k * k - 1, k * k, k * k + 2 * k)]
+    rng = random.Random(52)
+    n += [rng.randrange(1 << 52) for _ in range(20000)] + [rng.randrange(1 << bits) for bits in range(1, 53)]
+    got = stats._isqrt(np.array(n, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(m) for m in n]
+
+
 def test_odd_classes_are_the_odd_norms():
     # For each order, the kept classes of (a, b) mod 2 give odd norms and
     # the dropped ones even norms, by quadorder.norm on a block of points.
@@ -685,12 +696,6 @@ def test_bt_preconditions():
 def test_comaximal():
     assert comaximal(QuadInt(3, 0, O1), QuadInt(1, 0, O1))
     assert not comaximal(QuadInt(2, 0, O1), QuadInt(1, 1, O1))  # both even norm
-
-
-def test_phi_element_matches_phi_ideal():
-    for od in maximal_orders()[:5]:
-        for d in (1, 2, 3, 4, 5, 6, 9, 10, 12):
-            assert phi_element(QuadInt(d, 0, od)) == phi_ideal(d, od)
 
 
 def test_phi_element_split_prime():
