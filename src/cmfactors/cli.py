@@ -23,7 +23,6 @@ import contextlib
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -165,13 +164,16 @@ def _atomic_outputs(path: str):
 
     They are renamed into place only if the body completes; on any
     exception they are removed, so no partial target is left behind.
-    An unusable or empty PATH raises SystemExit2 before the body runs.
+    An unusable or empty PATH, or a target that exists and is no regular
+    file (a directory, device, FIFO or socket, which os.replace would
+    displace), raises SystemExit2 before any temp file is made.
     """
     if not path:
         raise SystemExit2("--out: empty path")
-    if os.path.isdir(path):
-        raise SystemExit2(f"--out {path}: is a directory")
     targets = (path, path + ".summary.json")
+    for target in targets:
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise SystemExit2(f"--out: {target} exists and is not a regular file")
     temps = [f"{t}.{os.getpid()}.tmp" for t in targets]
     try:
         with contextlib.ExitStack() as files:
@@ -346,21 +348,19 @@ def cmd_bt(args) -> int:
     return 0
 
 
+# aux trivlem's fixed grid of (g, k, t) cases.  Pattern r is the multiplicative
+# g_r(p) = ((p + r) mod 9) / 4, which takes each value 0, 1/4, ..., 2 as p varies.
+TRIVLEM_PATTERNS = range(9)
+TRIVLEM_K = (1, 2, 4, 6, 12, 30, 97, 100, 210)
+TRIVLEM_T = (1, 10, 100, 1000)
+
+
 def cmd_trivlem(args) -> int:
-    if args.trials < 1:
-        raise SystemExit2("--trials must be at least 1")
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-        gmap = {p: Fraction(rng.randint(0, 8), 4) for p in primes}
-        k = rng.randint(1, 100)
-        t = rng.randint(1, 1000)
-        res = stats.trivlem_check(lambda p: gmap.get(p, Fraction(1, 2)), k, t)
-        if not res.holds:
-            failures += 1
-    print(f"{args.trials - failures}/{args.trials} hold")
-    return 0 if failures == 0 else 1
+    cases = [(r, k, t) for r in TRIVLEM_PATTERNS for k in TRIVLEM_K for t in TRIVLEM_T]
+    held = sum(stats.trivlem_check(lambda p, r=r: Fraction((p + r) % 9, 4), k, t).holds
+               for r, k, t in cases)
+    print(f"{held}/{len(cases)} hold")
+    return 0 if held == len(cases) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--g", type=int, default=-1, help="field parameter (default -1)")
     s.set_defaults(func=cmd_bt)
 
-    s = aux.add_parser("trivlem", help="randomized squarefree-restriction inequality suite")
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s = aux.add_parser("trivlem", help="squarefree-restriction inequality on a fixed grid",
+                       description="Checks the inequality exactly for g(p) = ((p + r) mod 9)/4 with "
+                       f"r = 0..{TRIVLEM_PATTERNS[-1]}, k in {TRIVLEM_K} and t in {TRIVLEM_T}.")
     s.set_defaults(func=cmd_trivlem)
 
     return parser

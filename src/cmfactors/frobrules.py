@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .quadorder import ORDER_PARAMS, order, unit_orbit
+from .quadorder import ORDER_PARAMS, order, squares, unit_orbit
 
 PI = "pi"
 TRACE = "trace"
@@ -62,12 +62,10 @@ class FrobeniusRule:
         self.modulus = modulus
         self.residues = frozenset(residues)
         self._order = od
-        self._chi = (
-            np.array([0] + [1 if pow(x, (modulus - 1) // 2, modulus) == 1 else -1
-                            for x in range(1, modulus)], dtype=np.int64)
-            if kind == TRACE
-            else None
-        )
+        self._chi = None
+        if kind == TRACE:
+            self._chi = np.where(squares(modulus), 1, -1)
+            self._chi[0] = 0
         # Each class c = u*r in the orbit of an allowed residue r maps to u^-1 =
         # conj(u) (units have norm 1), in the order's coordinates, at _index(c);
         # every other key maps to (0, 0), which is no unit.

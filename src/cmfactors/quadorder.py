@@ -4,14 +4,15 @@ There are nine imaginary quadratic fields Q(sqrt(g)) of class number one and
 thirteen class-number-one orders inside them (conductors 1, 2 or 3).  This
 module implements elements of those orders in the integral basis {1, beta}
 with beta = f*omega, together with norm, trace, conjugation, content,
-the Kronecker symbol, the unit-group tables, and the two counting formulas
+the Kronecker symbol and the quadratic residues mod a prime, the unit-group
+tables, and the two counting formulas
 
     Phi(mu) = #(O_K / mu O_K)^x         (Euler product over primes P | mu)
     r(m)    = w * sum_{e | m} (Delta/e)  (lattice points of norm m)
 
 phi_element is Phi's one closed form; phi_ideal(d) is its case mu = d.
-Everything here is pure and immutable.  `order` and `units` are cached, so
-each order and unit table is built once per process.  The acceptance tests
+Everything here is pure.  `order`, `units` and `squares` are cached, so
+each order and table is built once per process.  The acceptance tests
 check rep_count against a count over the whole lattice disk (criterion 7).
 """
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .primesieve import factorize
 
@@ -193,6 +196,17 @@ def kronecker(delta: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return _kronecker(delta, n)
+
+
+@functools.cache
+def squares(q: int) -> np.ndarray:
+    """Whether each residue mod the odd prime q is a nonzero square."""
+    table = np.zeros(q, dtype=bool)
+    x = np.arange(1, q // 2 + 1, dtype=np.int64)
+    x *= x
+    x %= q
+    table[x] = True
+    return table
 
 
 def _kronecker(a: int, n: int) -> int:

@@ -37,7 +37,6 @@ integers, the fastest power of two measured (see there).
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -53,7 +52,7 @@ from .frobenius import (
     KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
 )
 from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array, runs
-from .quadorder import OrderDesc, QuadInt, conj, kronecker, norm, phi_element, unit_orbit
+from .quadorder import OrderDesc, QuadInt, conj, kronecker, norm, phi_element, squares, unit_orbit
 
 # Each scan job covers this many consecutive integers.  A range costs about
 # c1*span + c2*sqrt(hi), for its sieve and for _split_points' arrays over
@@ -148,17 +147,6 @@ def merge(a: SumAccumulator, b: SumAccumulator) -> SumAccumulator:
     )
 
 
-@functools.cache
-def _squares(q: int) -> np.ndarray:
-    """Whether each residue mod the odd prime q is a nonzero square."""
-    table = np.zeros(q, dtype=bool)
-    x = np.arange(1, q // 2 + 1, dtype=np.int64)
-    x *= x
-    x %= q
-    table[x] = True
-    return table
-
-
 def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
     """d_p of the curve at good supersingular primes p > 3, by table lookups.
 
@@ -170,7 +158,7 @@ def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
     """
     nonsquare = np.full(len(p), curve.disc < 0)
     for q in curve.odd_disc_primes:
-        nonsquare ^= p % 8 == 3 if q == 2 else ~_squares(q)[-p % q]
+        nonsquare ^= p % 8 == 3 if q == 2 else ~squares(q)[-p % q]
     return np.where((p % 4 == 3) & ~nonsquare, 2, 1)
 
 
@@ -315,13 +303,25 @@ def _accumulator(cols: Columns, lo: int, hi: int, checkpoints) -> SumAccumulator
     counts[_SS] += len(cols.supersingular[0])
     p, d, e = (np.concatenate([part[j] for part in cols]) for j in (0, -2, -1))
     hist_d, hist_n = np.unique(d, return_counts=True)
-    acc = SumAccumulator(x_lo=lo, x_processed=hi, sum_dp=int(d.sum()), sum_ep=int(e.sum()),
+    # N < 2^51, and d_p^2 divides N, so d_p < 2^26 sums exactly in int64 at any
+    # span.  e_p < 2^51 could wrap from 2^12 primes on, so it is summed in halves,
+    # e >> 31 < 2^20 and e & (2^31 - 1), each exact for fewer than 2^32 primes.
+    # The low halves overwrite e, this function's own copy: one temporary less.
+    e_hi = e >> 31
+    e_lo = np.bitwise_and(e, (1 << 31) - 1, out=e)
+
+    def join(hi_sum, lo_sum):
+        return (int(hi_sum) << 31) + int(lo_sum)
+
+    acc = SumAccumulator(x_lo=lo, x_processed=hi, sum_dp=int(d.sum()),
+                         sum_ep=join(e_hi.sum(), e_lo.sum()),
                          counts=dict(zip(KINDS, counts.tolist())),
                          hist_dp=dict(zip(hist_d.tolist(), hist_n.tolist())))
     for x in sorted(x for x in checkpoints if lo <= x <= hi):
         # Weights 0 or 1: a dot product sums without compressing d and e.
         upto = (p <= x).astype(np.int64)
-        acc.checkpoints.append(Checkpoint(x, int(d @ upto), int(e @ upto), int(upto.sum())))
+        acc.checkpoints.append(
+            Checkpoint(x, int(d @ upto), join(e_hi @ upto, e_lo @ upto), int(upto.sum())))
     return acc
 
 

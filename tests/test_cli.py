@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -247,9 +248,30 @@ def test_aux_bt_bad_args(capsys):
 
 
 def test_aux_trivlem(capsys):
-    code, stdout, _ = run(capsys, "aux", "trivlem", "--trials", "100", "--seed", "7")
-    assert code == 0
-    assert "100/100 hold" in stdout
+    # One fixed grid of 9 patterns g, 9 values of k and 4 of t: the same line every run.
+    for _ in range(2):
+        assert run(capsys, "aux", "trivlem") == (0, "324/324 hold\n", "")
+
+
+def test_aux_trivlem_exits_1_if_a_case_fails(capsys, monkeypatch):
+    calls = []
+
+    def fail_once(g, k, t):
+        calls.append((k, t))
+        res = check(g, k, t)
+        return res._replace(holds=res.holds and len(calls) != 100)
+
+    check = stats.trivlem_check
+    monkeypatch.setattr(stats, "trivlem_check", fail_once)
+    assert run(capsys, "aux", "trivlem") == (1, "323/324 hold\n", "")
+    assert len(calls) == 324
+
+
+def test_aux_trivlem_takes_no_options():
+    for option in ("--trials", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["aux", "trivlem", option, "7"])
+        assert exc.value.code == 2
 
 
 def test_unknown_curve_label_exit_2(capsys):
@@ -356,8 +378,8 @@ def test_block_bytes_matches_record_lines():
         ["aux", "bt", "--x", str(10**11), "--mu", "3", "--alpha", "1"],
         ["aux", "bt", "--x", "1000", "--mu", "3", "--alpha", f"{10**22},1"],
         ["aux", "wintner", "--z", str(10**11)],
-        ["aux", "trivlem", "--trials", "-1"],
         ["scan", "--curve", "D4", "--xmax", "100", "--out", "UNWRITABLE_PATH"],
+        ["scan", "--curve", "D4", "--xmax", "100", "--out", "FIFO_PATH"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "0"],
         ["scan", "--curve", "D4", "--xmax", "100", "--workers", "-2"],
         # One range at this --xmax, so nothing would fork even without the bound.
@@ -372,18 +394,24 @@ def test_block_bytes_matches_record_lines():
         "schur-t-0", "custom-not-integer", "custom-not-class-number-one",
         "custom-singular", "custom-unfactorable",
         "bt-g-5", "bt-mu-not-integer", "bt-x-1e11", "bt-alpha-overflow", "wintner-z-1e11",
-        "trivlem-trials-negative",
-        "out-unwritable", "workers-0", "workers-negative", "workers-past-limit",
+        "out-unwritable", "out-fifo", "workers-0", "workers-negative", "workers-past-limit",
         "custom-with-curve",
         "xmax-1e20", "xmax-2^50", "identity-x-1e20",
     ],
 )
 def test_bad_argument_values_exit_2(tmp_path, capsys, argv):
-    argv = [str(tmp_path / "missing" / "x.csv") if a == "UNWRITABLE_PATH" else a for a in argv]
-    code, stdout, err = run(capsys, *argv)
+    fifo = tmp_path / "fifo.csv"
+    if "FIFO_PATH" in argv:
+        # os.replace would put a regular file in the FIFO's place.
+        os.mkfifo(fifo)
+    paths = {"UNWRITABLE_PATH": str(tmp_path / "missing" / "x.csv"), "FIFO_PATH": str(fifo)}
+    code, stdout, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert stdout == ""
+    assert os.listdir(tmp_path) == (["fifo.csv"] if "FIFO_PATH" in argv else [])
+    if "FIFO_PATH" in argv:
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def _ambiguous_above_the_gate(monkeypatch):

@@ -220,6 +220,16 @@ def test_rule_residues_conjugation_closed_and_meet_each_orbit_once():
             model: (rule.kind, rule.modulus, sorted(rule.residues))}
 
 
+def test_trace_rules_read_the_legendre_symbol_mod_m():
+    # Euler's criterion: (x/M) = x^((M-1)/2) mod M for the prime M = -g.
+    trace_rules = [r for r in map(rule_for, curve_table()) if r.kind == frobrules.TRACE]
+    assert trace_rules
+    for rule in trace_rules:
+        M = rule.modulus
+        assert rule._chi.tolist() == [0] + [1 if pow(x, (M - 1) // 2, M) == 1 else -1
+                                            for x in range(1, M)]
+
+
 def test_inconsistent_or_incomplete_rule_raises():
     # 1 and i are associates in Z[i].
     with pytest.raises(ValueError):

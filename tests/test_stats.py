@@ -446,6 +446,23 @@ def test_top_range_sums_are_exact_in_int64():
     assert 2**61 < e < 2**62
 
 
+def test_top_range_sums_are_exact_past_int64(monkeypatch):
+    # At a span of 2^20 the top D163 range below X_MAX_LIMIT sums e_p to about
+    # 2.9 * 10^19, past 2^63: each sum, and the checkpoints', must still equal
+    # the Python-int sum of its rows.
+    monkeypatch.setattr(stats, "CHUNK_SPAN", 1 << 20)
+    hi = stats.X_MAX_LIMIT - 1
+    lo = hi - stats.CHUNK_SPAN + 1
+    mid = lo + stats.CHUNK_SPAN // 2
+    acc, rows = _scan_chunk(get_curve("D163"), lo, hi, (mid, hi), True)
+    d, e = (rows[:, j].tolist() for j in (6, 7))
+    assert (acc.sum_dp, acc.sum_ep) == (sum(d), sum(e))
+    below = int(np.searchsorted(rows[:, 0], mid, side="right"))
+    assert acc.checkpoints == [(mid, sum(d[:below]), sum(e[:below]), below),
+                               (hi, sum(d), sum(e), len(rows))]
+    assert 2**64 < sum(e) < 2**65
+
+
 def test_scan_without_records_builds_no_rows(curve_d4, monkeypatch):
     # Without a records sink no range builds its (n, 8) rows, the top range
     # checked past RULES_CHECKED_TO included, at one worker and two.
