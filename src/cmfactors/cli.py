@@ -10,8 +10,8 @@ A model outside the packaged table comes in only by --custom, and only
 once the records scan writes for it match the oracle up to p = 200.
 
 Exit codes: 0 success, 1 failed check or mismatch (an ArithmeticError
-itself, as the Frobenius rule's guard raises, or a scan worker that died
-without a result), 2 bad arguments (a --custom model that fails the gate
+itself, as the Frobenius rule's guard and a range's classification check
+raise, or a scan worker that died without a result), 2 bad arguments (a --custom model that fails the gate
 among them), 3 ambiguous Frobenius above the gate (with the prime reported;
 only the point sampling of a --custom model can raise it).  A subclass of
 ArithmeticError, such as ZeroDivisionError, is a bug and keeps its traceback.

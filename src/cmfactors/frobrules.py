@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .quadorder import ORDER_PARAMS, order, squares, unit_orbit
+from .quadorder import ORDER_PARAMS, kronecker_table, order, unit_orbit
 
 PI = "pi"
 TRACE = "trace"
@@ -62,10 +62,8 @@ class FrobeniusRule:
         self.modulus = modulus
         self.residues = frozenset(residues)
         self._order = od
-        self._chi = None
-        if kind == TRACE:
-            self._chi = np.where(squares(modulus), 1, -1)
-            self._chi[0] = 0
+        # M = -g = |Delta_K|, and (-M/n) = (n/M) for n >= 1: the Legendre symbol mod M.
+        self._chi = kronecker_table(od.delta) if kind == TRACE else None
         # Each class c = u*r in the orbit of an allowed residue r maps to u^-1 =
         # conj(u) (units have norm 1), in the order's coordinates, at _index(c);
         # every other key maps to (0, 0), which is no unit.

@@ -5,9 +5,9 @@ exact torsion counting: d's q-adic valuation is the largest j for which
 the q^j-torsion is fully rational, measured over every point of the group.
 One counting pass over x mod p against a table of squares gives #E(F_p)
 and the roots of the cubic, which settle the first 2-torsion level.  Up to
-ENUMERATION_BOUND the pass reduces rows of a per-process table of x*x and
-x^3 + Ax + B, exact in int64 and cached for one curve at a time, so no
-prime evaluates the cubic again; past it, or for a model whose cubic does
+ENUMERATION_BOUND the pass reduces rows of a table of x*x and x^3 + Ax + B,
+exact in int64, cached for the latest curve and power of two above p only, so
+no prime evaluates the cubic again; past it, or for a model whose cubic does
 not fit int64, it evaluates the cubic slice by slice.  Every other level
 evaluates the division polynomial psi_(q^j) on one lane per x whose rhs is
 a nonzero square, that is per pair {P, -P}: no inverses, no square roots
@@ -34,12 +34,9 @@ COUNT_BOUND = 1 << 31
 # so their int64 temporaries stay bounded for large p.
 _COUNT_CHUNK = 1 << 20
 
-# The exact table of one curve (see _exact_table): its (A, B), then x*x and
-# x^3 + Ax + B for 0 <= x < len.  Its length, a power of two above p <=
+# The length of the exact table (see _exact_table), a power of two above p <=
 # ENUMERATION_BOUND, stays at most _TABLE_CAP.
 _TABLE_CAP = 1 << 17
-_table_model: tuple[int, int] | None = None
-_table_squares = _table_cubic = np.zeros(0, dtype=np.int64)
 
 
 def _check_p(curve: CmCurve, p: int):
@@ -77,25 +74,26 @@ def _rhs(curve: CmCurve, p: int, xs: np.ndarray) -> np.ndarray:
 
 
 def _exact_table(curve: CmCurve, p: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """x*x and x^3 + Ax + B as exact int64 values for 0 <= x < L, L > p.
-
-    A per-process cache holds the table of one curve.  It is built on first
-    need, never at import, regrown to the next power of two L >= p + 1 when
-    p passes its end, and replaced by the table of a different curve.  None
-    for p > ENUMERATION_BOUND, or when the cubic may pass int64 below the
-    cap: L^3 + |A| L + |B| >= 2^63 at L = _TABLE_CAP.
+    """x*x and x^3 + Ax + B as exact int64 values for 0 <= x < L = 2^bit_length(p),
+    from _table.  None for p > ENUMERATION_BOUND, or when the cubic may pass
+    int64 below the cap: L^3 + |A| L + |B| >= 2^63 at L = _TABLE_CAP.
     """
-    global _table_model, _table_squares, _table_cubic
     cap = _TABLE_CAP
     if p > ENUMERATION_BOUND or cap**3 + abs(curve.A) * cap + abs(curve.B) >= 1 << 63:
         return None
-    if (curve.A, curve.B) != _table_model or p >= len(_table_cubic):
-        x = np.arange(1 << p.bit_length(), dtype=np.int64)
-        _table_squares = x * x
-        _table_cubic = (_table_squares + curve.A) * x
-        _table_cubic += curve.B
-        _table_model = (curve.A, curve.B)
-    return _table_squares, _table_cubic
+    return _table(curve.A, curve.B, p.bit_length())
+
+
+@functools.lru_cache(maxsize=1)
+def _table(A: int, B: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """x*x and x^3 + Ax + B for 0 <= x < 2^bits, the latest table only: each
+    caller walks p upward, so each power of two is built once."""
+    x = np.arange(1 << bits, dtype=np.int64)
+    squares = x * x
+    cubic = (squares + A) * x
+    cubic += B
+    squares.flags.writeable = cubic.flags.writeable = False
+    return squares, cubic
 
 
 def _counting_pass(curve: CmCurve, p: int) -> tuple[int, int, np.ndarray, np.ndarray]:

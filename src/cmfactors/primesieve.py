@@ -2,12 +2,12 @@
 
 `odd_mask(x, lo)` is a windowed sieve of Eratosthenes: one odd-only numpy
 mask over [lo, x], struck segment by segment by the odd primes up to
-sqrt(x).  The base primes come from a per-process cache, filled on first
-need (never at import) by the same sieve and regrown to the next power of
-two of the root a larger window asks for.  Each base prime below
-SLICE_BELOW strikes one strided slice per segment; all larger ones strike a
-segment in one scatter, whose positions `runs` builds, one run per base
-prime.  A scan range of stats.CHUNK_SPAN integers is one segment.
+sqrt(x).  The base primes come from a functools cache that holds only the
+latest table, the odd primes up to the power of two at or above the root,
+built on first need (never at import) by the same sieve.  Each base prime
+below SLICE_BELOW strikes one strided slice per segment; all larger ones
+strike a segment in one scatter, whose positions `runs` builds, one run per
+base prime.  A scan range of stats.CHUNK_SPAN integers is one segment.
 
 The mask is handed over as it is: the scan's sweep looks its lattice
 points' norms up in it and clears from it the primes it has classified, so
@@ -20,6 +20,7 @@ are built on it.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,24 +38,24 @@ SLICE_BELOW = 1 << 7
 # a scatter's positions take about a megabyte whatever the window.
 SEGMENT = 1 << 17
 
-# The odd primes up to _base_root, in increasing order; see _odd_base_primes.
-_base = np.zeros(0, dtype=np.int64)
-_base_root = 2
-
-
 def _odd_base_primes(root: int) -> np.ndarray:
-    """The odd primes <= root, as a view of the per-process cache.
+    """The odd primes <= root, a read-only view of the cached table of the
+    power of two at or above root; empty, building nothing, below 3.  The
+    root of X_MAX_LIMIT = 2^50, 2^25, holds about 2.1M primes (16 MB)."""
+    if root < 3:
+        return np.zeros(0, dtype=np.int64)
+    base = _odd_primes_upto(1 << (root - 1).bit_length())
+    return base[: np.searchsorted(base, root, side="right")]
 
-    A root past the cached one refills the cache up to the next power of
-    two, so a scan whose root creeps up refills it O(log root) times.  The
-    root of X_MAX_LIMIT = 2^50, 2^25, holds about 2.1M primes (16 MB).
-    """
-    global _base, _base_root
-    if root > _base_root:
-        top = 1 << (root - 1).bit_length()
-        _base = primes_array(top, lo=3)
-        _base_root = top
-    return _base[: np.searchsorted(_base, root, side="right")]
+
+@functools.lru_cache(maxsize=1)
+def _odd_primes_upto(top: int) -> np.ndarray:
+    """The odd primes <= top, the latest table only.  A regrow to top <= 2^25
+    also rebuilds the two or three tables of at most 2^13 integers its own
+    sieve reads, which the last regrow evicted: about 0.1 ms each."""
+    base = primes_array(top, lo=3)
+    base.flags.writeable = False
+    return base
 
 
 def _strike(mask: np.ndarray, low: int, base: np.ndarray) -> None:

@@ -4,16 +4,18 @@ There are nine imaginary quadratic fields Q(sqrt(g)) of class number one and
 thirteen class-number-one orders inside them (conductors 1, 2 or 3).  This
 module implements elements of those orders in the integral basis {1, beta}
 with beta = f*omega, together with norm, trace, conjugation, content,
-the Kronecker symbol and the quadratic residues mod a prime, the unit-group
-tables, and the two counting formulas
+the Kronecker symbol, its table mod each field discriminant and the
+quadratic residues mod a prime, the unit-group tables, and the two counting
+formulas
 
     Phi(mu) = #(O_K / mu O_K)^x         (Euler product over primes P | mu)
     r(m)    = w * sum_{e | m} (Delta/e)  (lattice points of norm m)
 
 phi_element is Phi's one closed form; phi_ideal(d) is its case mu = d.
-Everything here is pure.  `order`, `units` and `squares` are cached, so
-each order and table is built once per process.  The acceptance tests
-check rep_count against a count over the whole lattice disk (criterion 7).
+Everything here is pure.  `order`, `units`, `squares` and `kronecker_table`
+are cached, so each order and table is built once per process.  The
+acceptance tests check rep_count against a count over the whole lattice
+disk (criterion 7).
 """
 from __future__ import annotations
 
@@ -196,6 +198,20 @@ def kronecker(delta: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return _kronecker(delta, n)
+
+
+@functools.cache
+def kronecker_table(delta: int) -> np.ndarray:
+    """(delta/r) for 0 <= r < |delta|, as a read-only int64 array, for the
+    nine supported field discriminants.
+
+    n -> (delta/n) is a primitive character mod |delta| for a fundamental
+    discriminant, so (delta/n) = table[n % |delta|] for every n >= 1.
+    """
+    m = -delta
+    table = np.array([kronecker(delta, r or m) for r in range(m)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @functools.cache

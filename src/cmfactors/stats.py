@@ -27,13 +27,14 @@ swept as arrays into Columns, its records in three parts: p <= 3 and the
 bad primes, p = 2 among them, through dp_ep; the ordinary primes, from the
 lattice points of prime norm, looked up in the mask, with Cornacchia's
 element, whose unit frobenius.select_units picks; and the supersingular
-primes, what is left of the mask, whose d_p comes from residue tables.
-The sweep builds one point per split p, in the sector where Cornacchia's
-element lies, and of those only the points whose parity classes (a mod 2,
-b mod 2) give an odd norm.  A range's accumulator is summed straight from
-its columns; its primes array and (n, 8) int64 record rows are built only
-when the caller keeps the records.  A range spans CHUNK_SPAN = 2^17
-integers, the fastest power of two measured (see there).
+primes, what is left of the mask, whose d_p comes from residue tables;
+a prime left there with (Delta_K/p) = 1 raises ArithmeticError.  The sweep
+builds one point per split p, in the sector where Cornacchia's element
+lies, and of those only the points whose parity classes (a mod 2, b mod 2)
+give an odd norm.  A range's accumulator is summed straight from its
+columns; its primes array and (n, 8) int64 record rows are built only when
+the caller keeps the records.  A range spans CHUNK_SPAN = 2^17 integers,
+the fastest power of two measured (see there).
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from .frobenius import (
     KINDS, ORDINARY, RULES_CHECKED_TO, SUPERSINGULAR, PrimeRecord, dp_ep, select_units,
 )
 from .primesieve import divisors, euler_phi, factorize, mask_primes, odd_mask, primes_array, runs
-from .quadorder import OrderDesc, QuadInt, conj, kronecker, norm, phi_element, squares, unit_orbit
+from .quadorder import OrderDesc, QuadInt, conj, kronecker_table, norm, phi_element, squares, unit_orbit
 
 # Each scan job covers this many consecutive integers.  A range costs about
 # c1*span + c2*sqrt(hi), for its sieve and for _split_points' arrays over
@@ -163,11 +164,10 @@ def _supersingular_dp(curve: CmCurve, p: np.ndarray) -> np.ndarray:
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
-    """floor(sqrt(n)) of nonnegative int64 values below 2^52, exactly."""
-    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    r -= r * r > n
-    r += (r + 1) * (r + 1) <= n
-    return r
+    """floor(sqrt(n)) = k of int64 0 <= n < 2^52, exactly: n is exact in float64,
+    and the correctly rounded IEEE-754 sqrt is at least k and, as sqrt(n) <
+    k + 1 - 1/(2(k+1)) with k < 2^26, more than a half-ulp (2^-28) below k + 1."""
+    return np.sqrt(n.astype(np.float64)).astype(np.int64)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray, step: int, tags: np.ndarray):
@@ -270,7 +270,9 @@ def _sweep(curve: CmCurve, lo: int, low: int, mask: np.ndarray, guard: bool) -> 
     the mask.  The ordinary primes and Cornacchia's element of each come
     from _split_points on what is left, and select_units, guarded if guard,
     picks each one's unit.  Once the ordinary primes are cleared, the mask
-    holds the supersingular ones, in increasing p.
+    holds the supersingular ones, in increasing p.  A good p > 3 is ordinary
+    exactly when (Delta_K/p) = 1, so a prime left with (Delta_K/p) = 1
+    raises ArithmeticError: the sweep missed its point.
     """
     # 2 has no slot; an odd q has one when low <= q <= the mask's last odd number.
     odd = [q for q in sorted({3, *curve.bad_primes} - {2})
@@ -287,6 +289,11 @@ def _sweep(curve: CmCurve, lo: int, low: int, mask: np.ndarray, guard: bool) -> 
     trace = 2 * a + b * od.beta_trace
     count, d = p + 1 - trace, np.gcd(a - 1, b)
     ss = mask_primes(low, mask)
+    chi = kronecker_table(od.delta)
+    split = chi[ss % len(chi)] == 1
+    if split.any():
+        raise ArithmeticError(f"the sweep of {curve.label} left the split prime "
+                              f"p={int(ss[split.argmax()])} unclassified")
     ss_count = ss + 1
     ss_d = _supersingular_dp(curve, ss)
     return Columns(
@@ -633,7 +640,8 @@ def bt_counter(x: int, mu: QuadInt, alpha: QuadInt) -> int:
     on = np.isin(a * a + t * a * b + bn * b * b, small)
     count = congruent((a[on], b[on]))
     inert = primes_array(max(math.isqrt(x), 2))
-    inert = inert[[p * p <= x and kronecker(od.delta, p) == -1 for p in inert.tolist()]]
+    chi = kronecker_table(od.delta)
+    inert = inert[(inert * inert <= x) & (chi[inert % len(chi)] == -1)]
     count += congruent(*unit_orbit(inert, 0 * inert, od))
     for lo in range(5, x + 1, CHUNK_SPAN):
         _, a, b = _split_points(od, *odd_mask(min(lo + CHUNK_SPAN - 1, x), lo))

@@ -1,8 +1,10 @@
 import random
 import signal
 
+import numpy as np
 import pytest
 
+from cmfactors import stats
 from cmfactors.eccurve import curve_table, get_curve
 from cmfactors.frobenius import KINDS, PrimeRecord
 from cmfactors.stats import scan
@@ -47,3 +49,32 @@ def scan_records(curve, x, **kwargs):
     records = []
     acc = scan(curve, x, records=lambda rows: records.extend(prime_records(rows)), **kwargs)
     return acc, records
+
+
+def drop_largest(p, a, b):
+    """Keep every hit of _split_points but the one of largest p: a sweep
+    that misses one split prime per range."""
+    return np.arange(len(p)) != p.argmax()
+
+
+def drop_least_a(p, a, b):
+    """Keep every hit of _split_points but, for each b, the one of least a:
+    what a umin one too large drops.  For w > 2, where every hit has a > b."""
+    order = np.lexsort((a, b))
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = b[order][1:] != b[order][:-1]
+    keep = np.ones(len(p), dtype=bool)
+    keep[order[first]] = False
+    return keep
+
+
+def split_points_dropping(drop, above: int):
+    """stats._split_points with the hits that drop rules out removed, in every
+    range whose odd-only mask starts above `above`."""
+    real = stats._split_points
+
+    def split_points(od, low, mask):
+        hits = real(od, low, mask)
+        return hits if low <= above else tuple(v[drop(*hits)] for v in hits)
+
+    return split_points

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import prime_records
+from conftest import drop_largest, drop_least_a, prime_records, split_points_dropping
 
 import cmfactors
 
@@ -19,7 +19,7 @@ from cmfactors.cli import CSV_HEADER, _block_bytes, _record_line, build_parser, 
 from cmfactors.eccurve import get_curve
 from cmfactors.frobenius import KINDS, AmbiguousFrobenius
 from cmfactors.frobrules import FrobeniusRule
-from cmfactors.primesieve import primes_upto
+from cmfactors.primesieve import odd_mask, primes_upto
 from cmfactors.quadorder import QuadInt, order
 
 
@@ -441,6 +441,28 @@ def test_ambiguous_scan_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert err == "ambiguous Frobenius at p=229\n"
     assert stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("drop", [drop_largest, drop_least_a], ids=["one", "umin"])
+def test_scan_exits_1_on_a_split_prime_the_sweep_missed(capsys, monkeypatch, deadline,
+                                                        drop, workers):
+    # A sweep that misses split primes from range 1 on, the child's first at
+    # --workers 2, would write them as supersingular; the range's own check
+    # of (Delta_K/p) names the least one it left.
+    span = stats.CHUNK_SPAN
+    curve = get_curve("D4")
+    mutant = split_points_dropping(drop, span)
+    low, mask = odd_mask(2 * span, span + 1)
+    missed = np.setdiff1d(stats._split_points(curve.order, low, mask)[0],
+                          mutant(curve.order, low, mask)[0])
+    assert len(missed) == 1 if drop is drop_largest else len(missed) > 1
+    monkeypatch.setattr(stats, "_split_points", mutant)
+    code, stdout, err = run(capsys, "scan", "--curve", "D4", "--xmax", str(3 * span),
+                            "--workers", str(workers))
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: the sweep of {curve.label} left the split prime "
+                   f"p={missed.min()} unclassified\n")
 
 
 def _ambiguous(lo, hi):

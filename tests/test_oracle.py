@@ -364,24 +364,36 @@ def test_table_pass_matches_sliced_pass(all_curves, curve_d4, monkeypatch):
 def test_exact_table_is_built_lazily_and_held_for_one_curve(all_curves):
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     code = ("import cmfactors, cmfactors.cli; from cmfactors import oracle; "
-            "print(oracle._table_model, len(oracle._table_squares), len(oracle._table_cubic))")
+            "print(oracle._table.cache_info())")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out == "None 0 0\n"
+    assert out == "CacheInfo(hits=0, misses=0, maxsize=1, currsize=0)\n"
+    info = oracle._table.cache_info
+    oracle._table.cache_clear()
     first, second = all_curves[0], all_curves[-1]
-    for curve, p in ((first, 101), (second, 5), (second, 1009), (second, 97)):
-        group_structure(curve, p)
-    # One table, the second curve's, grown to 1024 > 1009 and not shrunk.
-    assert oracle._table_model == (second.A, second.B)
-    assert len(oracle._table_squares) == len(oracle._table_cubic) == 1024
-    group_structure(second, primes_upto(ENUMERATION_BOUND)[-1])
-    L = len(oracle._table_cubic)
-    assert L == 1 << 17 and L & (L - 1) == 0
-    # count_points past the enumeration bound keeps the sliced pass.
+    # A walk up the primes of the second curve, after one prime of the
+    # first, builds each power of two above its p once.
+    walk = [p for p in primes_upto(1 << 13) if p not in second.bad_primes]
+    group_structure(first, 101)
+    for p in walk:
+        _counting_pass(second, p)
+    bits = {p.bit_length() for p in walk}
+    assert info() == (len(walk) - len(bits), 1 + len(bits), 1, 1)
+    # One table is held, the latest: the second curve's, of length 2^13 > 8191.
+    squares, cubic = oracle._exact_table(second, walk[-1])
+    assert len(squares) == len(cubic) == 1 << 13 and info().currsize == 1
+    x = list(range(1 << 13))
+    assert squares.tolist() == [v * v for v in x]
+    assert cubic.tolist() == [v**3 + second.A * v + second.B for v in x]
+    assert not squares.flags.writeable and not cubic.flags.writeable
+    # A step back down builds the smaller table in its place.
+    assert len(oracle._exact_table(second, 97)[0]) == 128
+    assert info().misses == 2 + len(bits) and info().currsize == 1
+    # Past the enumeration bound count_points keeps the sliced pass, and
+    # builds no table.
     assert oracle._exact_table(second, 100003) is None and factorize(100003) == [(100003, 1)]
-    x = random.Random(20261018).sample(range(L), 500)
-    assert oracle._table_squares[x].tolist() == [v * v for v in x]
-    assert oracle._table_cubic[x].tolist() == [v**3 + second.A * v + second.B for v in x]
+    assert count_points(second, 100003) == _counting_pass(second, 100003)[0]
+    assert info().misses == 2 + len(bits)
 
 
 def test_large_model_takes_the_sliced_pass(monkeypatch):
@@ -389,7 +401,9 @@ def test_large_model_takes_the_sliced_pass(monkeypatch):
     A = 2**47
     curve = CmCurve("large", A, 0, get_curve("D4").order)
     assert 2**51 + A * 2**17 >= 2**63 and curve.bad_primes == {2}
+    oracle._table.cache_clear()
     assert oracle._exact_table(curve, 5) is None
+    assert oracle._table.cache_info().misses == 0
     sliced, passes = oracle._sliced_pass, []
     monkeypatch.setattr(oracle, "_sliced_pass", lambda curve, p: passes.append(p) or sliced(curve, p))
     primes = [p for p in primes_upto(400) if p != 2]

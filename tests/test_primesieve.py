@@ -4,7 +4,6 @@ import subprocess
 import sys
 from bisect import bisect_left, bisect_right
 
-import numpy as np
 import pytest
 
 from cmfactors import primesieve
@@ -128,23 +127,47 @@ def test_primes_array_segments_are_invisible(monkeypatch):
 
 
 @pytest.mark.parametrize("roots", [(10, 5000), (5000, 10), (3, 130, 129, 4096)])
-def test_base_prime_cache_fills_in_either_order(monkeypatch, roots):
-    monkeypatch.setattr(primesieve, "_base", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(primesieve, "_base_root", 2)
+def test_base_prime_cache_fills_in_either_order(roots):
+    primesieve._odd_primes_upto.cache_clear()
     odd = _reference_sieve(max(roots))[1:]
     for root in roots:
         assert primesieve._odd_base_primes(root).tolist() == odd[: bisect_right(odd, root)]
         hi = root * root + 2 * root
         lo = max(2, hi - 500)
         assert primes_array(hi, lo=lo).tolist() == _reference_window(lo, hi)
-    # The cache never shrinks, and holds the odd primes up to its root.
-    assert primesieve._base_root >= max(roots)
-    assert primesieve._base.tolist() == _reference_sieve(primesieve._base_root)[1:]
+    # One table is held, the odd primes up to the power of two at or above
+    # the last root; a root below 3 builds nothing.
+    info = primesieve._odd_primes_upto.cache_info
+    top = 1 << (roots[-1] - 1).bit_length()
+    base, misses = primesieve._odd_primes_upto(top), info().misses
+    assert info().currsize == 1 and not base.flags.writeable
+    assert base.tolist() == _reference_sieve(top)[1:]
+    assert primesieve._odd_base_primes(2).tolist() == [] and info().misses == misses
+
+
+def test_base_prime_cache_builds_each_power_once_on_a_walk_up(monkeypatch):
+    # Windows whose root climbs from 3 to 2^12 one by one, as a scan's ranges do.
+    primesieve._odd_primes_upto.cache_clear()
+    built, sieve = [], primesieve.primes_array
+    monkeypatch.setattr(primesieve, "primes_array",
+                        lambda x, lo=2: (lo == 3 and built.append(x)) or sieve(x, lo))
+    for root in range(3, (1 << 12) + 1):
+        lo, hi = max(2, root * root - 300), root * root + 2 * root
+        primes = sieve(hi, lo)
+        if root % 97 == 0:
+            assert primes.tolist() == _reference_window(lo, hi), root
+    # Each power of two is built once as the root reaches it.  A regrow to
+    # 2^k also builds the tables of its own sieve's roots, 2^ceil(k/2) and
+    # below, which the previous regrow evicted.
+    outer = [1 << k for k in range(2, 13)]
+    assert [t for t in built if t > 64] == outer[5:]
+    assert set(built) == set(outer) and len(built) <= 3 * len(outer)
+    assert primesieve._odd_primes_upto.cache_info().misses == len(built)
 
 
 def test_base_prime_cache_is_empty_at_import():
     code = ("from cmfactors import cli, primesieve, stats; "
-            "assert primesieve._base_root == 2 and len(primesieve._base) == 0")
+            "assert primesieve._odd_primes_upto.cache_info().currsize == 0")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 

@@ -20,6 +20,7 @@ from cmfactors.quadorder import (
     conj,
     content,
     kronecker,
+    kronecker_table,
     maximal_orders,
     norm,
     order,
@@ -217,6 +218,18 @@ def test_kronecker_multiplicative_and_periodic(rng):
         assert all(
             (vals[n] == 0) == (math.gcd(n, abs(delta)) > 1) for n in vals
         )
+
+
+def test_kronecker_table_is_the_symbol_mod_the_discriminant():
+    # A primitive character mod |Delta_K|: (Delta_K/r) = table[r mod |Delta_K|],
+    # 2 included, for every r in [1, 4|Delta_K|], on all nine fields.
+    for g in FIELD_PARAMS:
+        delta = order(g).delta
+        table = kronecker_table(delta)
+        assert len(table) == -delta and table.dtype == np.int64 and not table.flags.writeable
+        assert kronecker_table(delta) is table
+        for r in range(1, 4 * -delta + 1):
+            assert table[r % -delta] == kronecker(delta, r), (delta, r)
 
 
 def _phi_residue_count(d: int, od) -> int:

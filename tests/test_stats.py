@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import prime_records, scan_records
+from conftest import drop_largest, prime_records, scan_records, split_points_dropping
 
 from cmfactors.eccurve import cubic_splits, curve_table, custom_curve, get_curve
 from cmfactors.frobenius import BAD, KINDS, SMALL, AmbiguousFrobenius, classify, dp_ep
@@ -561,6 +561,18 @@ def test_scan_catches_a_corrupted_rule_in_a_worker(curve_d4, monkeypatch):
     monkeypatch.setattr(frobenius, "rule_for", lambda curve: wrong)
     with pytest.raises(ArithmeticError, match="disagrees with point sampling"):
         scan(curve_d4, frobenius.RULES_CHECKED_TO + 100, workers=2)
+
+
+def test_scan_chunk_checks_its_split_primes(monkeypatch):
+    # One range near 2*10^7, where no other test sweeps, whose sweep misses
+    # its largest split prime.
+    curve, lo = get_curve("D163"), 2 * 10**7 + 1
+    hi = lo + stats.CHUNK_SPAN - 1
+    assert _scan_chunk(curve, lo, hi, (), False)[0].pi_x > 0
+    p = stats._split_points(curve.order, *stats.odd_mask(hi, lo))[0]
+    monkeypatch.setattr(stats, "_split_points", split_points_dropping(drop_largest, 0))
+    with pytest.raises(ArithmeticError, match=f"left the split prime p={p.max()} unclassified"):
+        _scan_chunk(curve, lo, hi, (), False)
 
 
 def test_ranges_matches_python_ranges():
