@@ -394,6 +394,13 @@ def test_exact_table_is_built_lazily_and_held_for_one_curve(all_curves):
     assert oracle._exact_table(second, 100003) is None and factorize(100003) == [(100003, 1)]
     assert count_points(second, 100003) == _counting_pass(second, 100003)[0]
     assert info().misses == 2 + len(bits)
+    # The table at the largest prime below the bound is exactly the cap, the
+    # length _exact_table's int64 test is made for.
+    squares, cubic = oracle._exact_table(second, primes_upto(ENUMERATION_BOUND)[-1])
+    assert len(squares) == len(cubic) == oracle._TABLE_CAP == 1 << 17
+    x = random.Random(20261018).sample(range(1 << 17), 500)
+    assert squares[x].tolist() == [v * v for v in x]
+    assert cubic[x].tolist() == [v**3 + second.A * v + second.B for v in x]
 
 
 def test_large_model_takes_the_sliced_pass(monkeypatch):
